@@ -2,9 +2,12 @@
 """Regenerate every preset dataset.
 
 Writes one file per preset into the output directory.  All presets are
-deterministic, so a rerun reproduces the files byte for byte.  The fig15
-preset runs a POVM search per cell and takes a few minutes at its default
-9x9 grid; pass --preset to regenerate a subset.
+deterministic, so a rerun reproduces the files byte for byte.  Every preset
+but fig15 takes about a second or less at its default grid; fig15 runs a POVM
+search per cell (about 4.6 s each) and takes about 6 minutes at its default
+9x9 grid.  Pass --preset to regenerate a subset:
+
+    PYTHONPATH=src python scripts/regen_figure_data.py --preset fig7 --preset fig8
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="regenerate only this preset (repeatable; default: all)",
     )
     parser.add_argument("--grid", type=int, help="override the per-preset grid size")
-    parser.add_argument("--workers", type=int, default=1, help="parallel cells (same output)")
     args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
@@ -36,7 +38,7 @@ def main(argv: "list[str] | None" = None) -> int:
     for name in args.preset or list(PRESETS):
         preset = PRESETS[name]
         started = time.perf_counter()
-        grid = run_sweep(preset.config(grid_n=args.grid), workers=args.workers)
+        grid = run_sweep(preset.config(grid_n=args.grid))
         path = outdir / f"{name}.{args.format}"
         emit(grid, args.format, str(path))
         print(f"{name}: {preset.description} -> {path} ({time.perf_counter() - started:.1f} s)")

@@ -95,13 +95,15 @@ def _merged_settings(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
         merged.update(data)
-    fixed = dict(merged.get("fixed", {}))
-    for key in ("x", "y", "alpha", "variant"):
-        value = getattr(args, key)
-        if value is not None:
-            fixed[key] = value
-    if fixed:
-        merged["fixed"] = fixed
+    fixed = merged.get("fixed", {})
+    if isinstance(fixed, dict):  # anything else is left for SweepConfig to reject
+        fixed = dict(fixed)
+        for key in ("x", "y", "alpha", "variant"):
+            value = getattr(args, key)
+            if value is not None:
+                fixed[key] = value
+        if fixed:
+            merged["fixed"] = fixed
     for key in ("eta0", "eta1", "grid_n", "output_path", "format", "seed", "trials"):
         value = getattr(args, key)
         if value is not None:
@@ -130,14 +132,9 @@ def _build_config(target: str, merged: dict) -> tuple[SweepConfig, str]:
             mode = "point"
     else:
         raise ValueError(f"unknown strategy or preset {target!r}")
-    for key in ("grid_n", "seed", "trials", "output_path", "format", "eta0", "eta1"):
+    for key in _CONFIG_KEYS - {"strategy", "preset"}:
         if key in merged:
             kwargs[key] = merged[key]
-    for key in ("eta0_range", "eta1_range"):
-        if key in merged:
-            kwargs[key] = tuple(float(v) for v in merged[key])
-    if "fixed" in merged:
-        kwargs["fixed"] = dict(merged["fixed"])
     return SweepConfig(**kwargs), mode
 
 

@@ -6,13 +6,15 @@ ground truth, and a closed-form expression, kept as a regression surface and
 cross-checked against the construction in the tests.  Batched private helpers
 (suffix ``_batch``) exist so grid sweeps and the scalar maximizer can evaluate
 thousands of parameter values in one numpy pass; they are validated against
-the pointwise routes.
+the pointwise routes.  Given a PairArrays instead of a ChannelPair, the
+helpers that figure presets need also run over many channel pairs at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .discrimination import (
     helstrom_psucc,
     maximize_povm_2x2,
     maximize_scalar,
+    maximize_scalar_cells,
     pure_state_psucc,
 )
 from .linalg import hermitian_eig, projector, trace_norm
@@ -75,6 +78,28 @@ class ChannelPair:
         """Single-use channel outputs for the probe with excited weight x."""
         inp = InputState(x)
         return self.channel0.output_state(inp), self.channel1.output_state(inp)
+
+
+class PairArrays(NamedTuple):
+    """Many ordered channel pairs (eta0 >= eta1 entrywise) as angle arrays.
+
+    Stands in for a ChannelPair in ``_output_entries``,
+    ``_two_shot_product_values_batch``, ``_adaptive_forward_values_batch``
+    and ``_side_values_batch``: the angles broadcast against the parameter
+    array, so column angles of shape (n, 1) with parameters of shape (1, k)
+    give an (n, k) block of values.
+    """
+
+    eta0: np.ndarray
+    eta1: np.ndarray
+
+    @classmethod
+    def columns(cls, eta0: np.ndarray, eta1: np.ndarray) -> "PairArrays":
+        """One pair per row, from 1-D arrays of ordered angles."""
+        return cls(np.asarray(eta0, dtype=float)[:, None], np.asarray(eta1, dtype=float)[:, None])
+
+    def take(self, idx: np.ndarray) -> "PairArrays":
+        return PairArrays(self.eta0[idx], self.eta1[idx])
 
 
 @dataclass(frozen=True)
@@ -174,9 +199,26 @@ def _trace_norm_2x2(t: np.ndarray, det: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(t), np.sqrt(np.maximum(t * t - 4.0 * det, 0.0)))
 
 
-def _output_entries(eta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (00, 01, 11) of the single-use output, broadcast over x."""
-    c = math.cos(eta)
+def _cos(eta):
+    """math.cos of one angle (the ChannelPair route), np.cos of an angle array."""
+    return np.cos(eta) if isinstance(eta, np.ndarray) else math.cos(eta)
+
+
+def _sin(eta):
+    return np.sin(eta) if isinstance(eta, np.ndarray) else math.sin(eta)
+
+
+def _checked_psucc(psucc: np.ndarray) -> np.ndarray:
+    """The [1/2, 1] range check of StrategyResult, on every cell of a batch."""
+    outside = ~((0.5 - PSUCC_SLACK <= psucc) & (psucc <= 1.0 + PSUCC_SLACK))
+    if outside.any():
+        raise ValueError(f"success probability {float(psucc[outside][0])!r} outside [1/2, 1]")
+    return psucc
+
+
+def _output_entries(eta, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (00, 01, 11) of the single-use output, broadcast over eta and x."""
+    c = _cos(eta)
     off = c * np.sqrt(np.clip(x * (1.0 - x), 0.0, None))
     pop = x * c * c
     return 1.0 - pop, off, pop
@@ -257,11 +299,11 @@ def side_ent_psucc(pair: ChannelPair, y: float) -> float:
     return helstrom_psucc(out0, out1)
 
 
-def _side_values_batch(pair: ChannelPair, ys: np.ndarray) -> np.ndarray:
-    s0sq, s1sq = math.sin(pair.eta0) ** 2, math.sin(pair.eta1) ** 2
-    c0, c1 = math.cos(pair.eta0), math.cos(pair.eta1)
+def _side_values_batch(pair: ChannelPair | PairArrays, ys: np.ndarray) -> np.ndarray:
+    s0sq, s1sq = _sin(pair.eta0) ** 2, _sin(pair.eta1) ** 2
+    c0, c1 = _cos(pair.eta0), _cos(pair.eta1)
     ys = np.asarray(ys, dtype=float)
-    delta = np.zeros(ys.shape + (4, 4))
+    delta = np.zeros(np.broadcast_shapes(np.shape(pair.eta0), ys.shape) + (4, 4))
     a = (1.0 - ys) * (s0sq - s1sq)
     b = (c0 - c1) * np.sqrt(np.clip(ys * (1.0 - ys), 0.0, None))
     delta[..., 0, 0] = a
@@ -295,6 +337,19 @@ def side_ent_optimal_numeric(pair: ChannelPair) -> tuple[float, float]:
     return maximize_scalar(
         lambda ys: _side_values_batch(pair, ys), 0.0, 1.0, vectorized=True
     )
+
+
+def _side_ent_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
+    """side_ent_optimal for column pairs: (y*, psucc), one entry per row.
+
+    The success probability comes from the batched 4x4 evaluation rather than
+    the Kraus construction, so it may differ from side_ent_optimal by rounding.
+    """
+    g = (np.cos(pairs.eta1) + np.cos(pairs.eta0))[:, 0]
+    ratio = (g - 1.0) / np.where(g < 2.0, g - 2.0, -1.0)
+    y_star = np.where((g < 2.0) & (ratio > 0.0), ratio, 0.0)
+    psucc = _side_values_batch(pairs, y_star[:, None])[:, 0]
+    return y_star, _checked_psucc(psucc)
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +577,21 @@ def two_shot_product_psucc(pair: ChannelPair, x: float) -> float:
     return helstrom_psucc(np.kron(rho0, rho0), np.kron(rho1, rho1))
 
 
-def _product_delta_batch(pair: ChannelPair, xs: np.ndarray) -> np.ndarray:
+def _product_delta_batch(pair: ChannelPair | PairArrays, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
-    delta = np.zeros(xs.shape + (4, 4))
+    shape = np.broadcast_shapes(np.shape(pair.eta0), xs.shape)
+    delta = np.zeros(shape + (4, 4))
     for sign, eta in ((1.0, pair.eta0), (-1.0, pair.eta1)):
         a, b, d = _output_entries(eta, xs)
-        rho = np.empty(xs.shape + (2, 2))
+        rho = np.empty(shape + (2, 2))
         rho[..., 0, 0] = a
         rho[..., 0, 1] = rho[..., 1, 0] = b
         rho[..., 1, 1] = d
-        delta += sign * np.einsum("...ij,...kl->...ikjl", rho, rho).reshape(xs.shape + (4, 4))
+        delta += sign * np.einsum("...ij,...kl->...ikjl", rho, rho).reshape(shape + (4, 4))
     return delta
 
 
-def _two_shot_product_values_batch(pair: ChannelPair, xs: np.ndarray) -> np.ndarray:
+def _two_shot_product_values_batch(pair: ChannelPair | PairArrays, xs: np.ndarray) -> np.ndarray:
     delta = _product_delta_batch(pair, xs)
     return 0.5 + 0.25 * np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
 
@@ -575,6 +631,23 @@ def two_shot_product_optimal(pair: ChannelPair) -> StrategyResult:
     )
 
 
+def _two_shot_product_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
+    """two_shot_product_optimal for column pairs: (x*, psucc), one entry per row.
+
+    Same grid, refinement and flat-objective rule, so every row equals the
+    pointwise optimum bit for bit; the measurement description is not built.
+    """
+    x_star, psucc = maximize_scalar_cells(
+        lambda idx, xs: _two_shot_product_values_batch(pairs.take(idx), xs),
+        len(pairs.eta0),
+        0.0,
+        1.0,
+        grid_points=TWO_SHOT_GRID_POINTS,
+    )
+    _checked_psucc(psucc)
+    return np.where(psucc - 0.5 <= PSUCC_SLACK, 1.0, x_star), psucc
+
+
 # ---------------------------------------------------------------------------
 # two uses, individual measurements, outcome-driven second step
 
@@ -606,7 +679,7 @@ def adaptive_forward_psucc(pair: ChannelPair, x: float) -> float:
     )
 
 
-def _adaptive_forward_values_batch(pair: ChannelPair, xs: np.ndarray) -> np.ndarray:
+def _adaptive_forward_values_batch(pair: ChannelPair | PairArrays, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     a0, b0, d0 = _output_entries(pair.eta0, xs)
     a1, b1, d1 = _output_entries(pair.eta1, xs)
@@ -641,6 +714,17 @@ def adaptive_forward_optimal(pair: ChannelPair) -> StrategyResult:
         lambda xs: _adaptive_forward_values_batch(pair, xs), 0.0, 1.0, vectorized=True
     )
     return StrategyResult(psucc=psucc, params={"x": x_star})
+
+
+def _adaptive_forward_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
+    """adaptive_forward_optimal for column pairs: (x*, psucc), one entry per row."""
+    x_star, psucc = maximize_scalar_cells(
+        lambda idx, xs: _adaptive_forward_values_batch(pairs.take(idx), xs),
+        len(pairs.eta0),
+        0.0,
+        1.0,
+    )
+    return x_star, _checked_psucc(psucc)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,6 +23,7 @@ from .linalg import trace_norm
 from .protocols import MC_STRATEGIES, build_protocol
 from .strategies import (
     ChannelPair,
+    PairArrays,
     adaptive_feedback_closed_form,
     adaptive_feedback_psucc,
     adaptive_forward_optimal,
@@ -51,10 +51,14 @@ from .strategies import (
     two_shot_product_psucc,
 )
 from .strategies import (
+    _adaptive_forward_optimal_batch,
     _adaptive_forward_values_batch,
     _feedback_values_batch,
     _one_shot_values_batch,
+    _side_ent_optimal_batch,
+    _side_values_batch,
     _two_shot_ent_values_batch,
+    _two_shot_product_optimal_batch,
     _two_shot_product_values_batch,
 )
 
@@ -85,9 +89,20 @@ MC_Z_LIMIT = 4.0
 POLAR_CURVE_ANGLES = (0.0, math.pi / 6, math.pi / 3)
 POLAR_GRID_DEFAULT = 91
 
+GridCell = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 
 class ConsistencyError(RuntimeError):
     """Closed-form and numeric evaluations disagree beyond tolerance."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _in_range(value, lo: float, hi: float) -> bool:
+    """A real number (not bool) in [lo, hi]; NaN fails the comparison."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and lo <= value <= hi
 
 
 @dataclass(frozen=True)
@@ -108,35 +123,50 @@ class SweepConfig:
     preset: str | None = None
 
     def __post_init__(self) -> None:
+        """The one type and range check of every field, config files included.
+
+        Real fields must be int or float (not bool) inside a closed range,
+        which also rules out NaN and infinities; integer fields must be int.
+        """
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose one of {', '.join(STRATEGIES)}"
             )
-        if self.preset is not None and self.preset not in PRESETS:
+        if self.preset is not None and (not isinstance(self.preset, str) or self.preset not in PRESETS):
             raise ValueError(f"unknown preset {self.preset!r}")
-        if not isinstance(self.grid_n, int) or self.grid_n < 2:
+        if not _is_int(self.grid_n) or self.grid_n < 2:
             raise ValueError(f"grid_n must be an integer >= 2, got {self.grid_n!r}")
-        for name, rng in (("eta0_range", self.eta0_range), ("eta1_range", self.eta1_range)):
-            lo, hi = rng
-            if not (0.0 <= lo <= hi <= HALF_PI):
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= pi/2, got {rng}")
+        for name in ("eta0_range", "eta1_range"):
+            rng = getattr(self, name)
+            if not (
+                isinstance(rng, (tuple, list))
+                and len(rng) == 2
+                and all(_in_range(v, 0.0, HALF_PI) for v in rng)
+                and rng[0] <= rng[1]
+            ):
+                raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= pi/2, got {rng!r}")
+            object.__setattr__(self, name, (float(rng[0]), float(rng[1])))
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.trials is not None and (not _is_int(self.trials) or self.trials < 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not isinstance(self.fixed, dict):
+            raise ValueError(f"fixed must be a mapping of parameters, got {self.fixed!r}")
         for key in self.fixed:
             if key not in FIXED_KEYS:
                 raise ValueError(f"unknown fixed parameter {key!r}; allowed: {FIXED_KEYS}")
-        for key in ("x", "y"):
-            if key in self.fixed and not 0.0 <= self.fixed[key] <= 1.0:
-                raise ValueError(f"{key} must lie in [0, 1], got {self.fixed[key]}")
-        if "alpha" in self.fixed and not 0.0 <= self.fixed["alpha"] <= HALF_PI:
-            raise ValueError(f"alpha must lie in [0, pi/2], got {self.fixed['alpha']}")
+        for key, hi, hi_text in (("x", 1.0, "1"), ("y", 1.0, "1"), ("alpha", HALF_PI, "pi/2")):
+            if key in self.fixed and not _in_range(self.fixed[key], 0.0, hi):
+                raise ValueError(f"{key} must lie in [0, {hi_text}], got {self.fixed[key]!r}")
         if "variant" in self.fixed and self.fixed["variant"] not in ("odd", "even"):
             raise ValueError(f"variant must be odd or even, got {self.fixed['variant']!r}")
         for name, value in (("eta0", self.eta0), ("eta1", self.eta1)):
-            if value is not None and not 0.0 <= value <= HALF_PI:
-                raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
+            if value is not None and not _in_range(value, 0.0, HALF_PI):
+                raise ValueError(f"{name} must lie in [0, pi/2], got {value!r}")
 
     def pair(self) -> ChannelPair:
         if self.eta0 is None or self.eta1 is None:
@@ -220,12 +250,16 @@ class McReport:
 
 @dataclass(frozen=True)
 class FigurePreset:
-    """A named dataset: the quantity behind one published panel."""
+    """A named dataset: the quantity behind one published panel.
+
+    ``cell(eta0, eta1)`` maps two 1-D arrays of ordered angles
+    (eta0[k] >= eta1[k]) to the value at each pair; None for the polar family.
+    """
 
     id: str
     description: str
     strategy: str
-    cell: Callable[[ChannelPair], float] | None
+    cell: GridCell | None
     grid_n: int = 25
 
     def config(self, grid_n: int | None = None) -> SweepConfig:
@@ -448,45 +482,56 @@ def run_point(cfg: SweepConfig) -> PointReport:
 # sweeps and presets
 
 
-def _sweep_cell(strategy: str, fixed: dict) -> Callable[[ChannelPair], float]:
-    def cell(pair: ChannelPair) -> float:
-        return _POINT_DISPATCH[strategy](pair, fixed).value
+def _per_pair(value: Callable[[ChannelPair], float]) -> GridCell:
+    """Grid cell that evaluates ``value`` one channel pair at a time."""
+
+    def cell(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+        return np.array([value(ChannelPair(float(a), float(b))) for a, b in zip(eta0, eta1)])
 
     return cell
 
 
-def _preset_side_gain(pair: ChannelPair) -> float:
-    return side_ent_optimal(pair).psucc - side_ent_psucc(pair, 0.0)
+_one_shot_optima = _per_pair(lambda pair: one_shot_optimal(pair).psucc)
 
 
-def _preset_side_optimum(pair: ChannelPair) -> float:
-    return side_ent_optimal(pair).psucc
+def _preset_side_gain(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    pairs = PairArrays.columns(eta0, eta1)
+    return _side_ent_optimal_batch(pairs)[1] - _side_values_batch(pairs, 0.0)[:, 0]
 
 
-def _preset_side_weight(pair: ChannelPair) -> float:
-    return side_ent_optimal(pair).params["y"]
+def _preset_side_optimum(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    return _side_ent_optimal_batch(PairArrays.columns(eta0, eta1))[1]
 
 
+def _preset_side_weight(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    return _side_ent_optimal_batch(PairArrays.columns(eta0, eta1))[0]
+
+
+@_per_pair
 def _preset_feedback_gain(pair: ChannelPair) -> float:
     return feedback_optimal(pair).psucc - one_shot_optimal(pair).psucc
 
 
-def _preset_collective_gain(pair: ChannelPair) -> float:
-    return two_shot_product_optimal(pair).psucc - one_shot_optimal(pair).psucc
+def _preset_collective_gain(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    collective = _two_shot_product_optimal_batch(PairArrays.columns(eta0, eta1))[1]
+    return collective - _one_shot_optima(eta0, eta1)
 
 
-def _preset_collective_probe(pair: ChannelPair) -> float:
-    return two_shot_product_optimal(pair).params["x"]
+def _preset_collective_probe(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    return _two_shot_product_optimal_batch(PairArrays.columns(eta0, eta1))[0]
 
 
-def _preset_collective_vs_adaptive(pair: ChannelPair) -> float:
-    return two_shot_product_optimal(pair).psucc - adaptive_forward_optimal(pair).psucc
+def _preset_collective_vs_adaptive(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    pairs = PairArrays.columns(eta0, eta1)
+    return _two_shot_product_optimal_batch(pairs)[1] - _adaptive_forward_optimal_batch(pairs)[1]
 
 
-def _preset_adaptive_gain(pair: ChannelPair) -> float:
-    return adaptive_forward_optimal(pair).psucc - one_shot_optimal(pair).psucc
+def _preset_adaptive_gain(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    adaptive = _adaptive_forward_optimal_batch(PairArrays.columns(eta0, eta1))[1]
+    return adaptive - _one_shot_optima(eta0, eta1)
 
 
+@_per_pair
 def _preset_second_copy_feedback_gain(pair: ChannelPair) -> float:
     return adaptive_feedback_psucc(pair) - feedback_optimal(pair).psucc
 
@@ -557,7 +602,7 @@ PRESETS = {
         id="fig15",
         description="forward minus backward optimized adaptive success (slow: POVM search per cell)",
         strategy="fwd-bwd-diff",
-        cell=fwd_bwd_difference,
+        cell=_per_pair(fwd_bwd_difference),
         grid_n=9,
     ),
 }
@@ -599,26 +644,22 @@ def _polar_family(cfg: SweepConfig) -> CurveFamily:
     )
 
 
-def run_sweep(cfg: SweepConfig, workers: int = 1) -> "SweepGrid | CurveFamily":
+def run_sweep(cfg: SweepConfig) -> "SweepGrid | CurveFamily":
     """Evaluate the configured quantity on the (eta0, eta1) grid.
 
-    Cells are pure functions of the channel pair and are assembled by index,
-    so the result is identical for any worker count.
+    Every cell depends only on its channel pair, which is ordered (stronger
+    damping first) before the grid function sees it.
     """
     if cfg.strategy == "polar-curve":
         return _polar_family(cfg)
     if cfg.preset is not None:
         cell = PRESETS[cfg.preset].cell
     else:
-        cell = _sweep_cell(cfg.strategy, cfg.fixed)
+        cell = _per_pair(lambda pair: _POINT_DISPATCH[cfg.strategy](pair, cfg.fixed).value)
     eta0s = np.linspace(cfg.eta0_range[0], cfg.eta0_range[1], cfg.grid_n)
     eta1s = np.linspace(cfg.eta1_range[0], cfg.eta1_range[1], cfg.grid_n)
-    pairs = [ChannelPair(float(e0), float(e1)) for e0 in eta0s for e1 in eta1s]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(cell, pairs))
-    else:
-        flat = [cell(p) for p in pairs]
+    e0, e1 = np.meshgrid(eta0s, eta1s, indexing="ij")
+    flat = cell(np.maximum(e0, e1).ravel(), np.minimum(e0, e1).ravel())
     values = np.asarray(flat, dtype=float).reshape(cfg.grid_n, cfg.grid_n)
     return SweepGrid(
         eta0_values=eta0s, eta1_values=eta1s, values=values, metadata=_metadata(cfg)

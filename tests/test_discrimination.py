@@ -160,6 +160,50 @@ class TestMaximizeScalar:
         assert y == pytest.approx(1.0, abs=1e-9)
 
 
+class TestMaximizeScalarCells:
+    def test_each_cell_stops_at_its_own_iteration_count(self):
+        # cell 0 peaks inside the grid (a two-step bracket), cell 1 on its
+        # edge x = 1 (a one-step bracket), so cell 0 needs one more step
+        objectives = (lambda t: -((t - 0.3) ** 2), lambda t: t)
+        points = [0, 0]
+
+        def f(idx, xs):
+            out = np.empty(np.broadcast_shapes((len(idx), 1), np.shape(xs)))
+            for row, k in enumerate(idx):
+                out[row] = objectives[k](np.broadcast_to(xs, out.shape)[row])
+                points[k] += out.shape[1]
+            return out
+
+        x, y = disc.maximize_scalar_cells(f, 2, 0.0, 1.0)
+        for k, objective in enumerate(objectives):
+            scalar_points = [0]
+
+            def counted(t, objective=objective, scalar_points=scalar_points):
+                scalar_points[0] += np.size(t)
+                return objective(t)
+
+            assert (x[k], y[k]) == disc.maximize_scalar(counted, 0.0, 1.0, vectorized=True)
+            assert points[k] == scalar_points[0]
+        assert points[0] == points[1] + 1
+
+    def test_chunked_grid_scan_matches_one_cell_at_a_time(self):
+        shifts = np.linspace(0.05, 0.95, 2 * disc.CELL_CHUNK + 3)
+
+        def f(idx, xs):
+            return np.cos(7.0 * (xs - shifts[idx, None])) + 0.1 * xs
+
+        x, y = disc.maximize_scalar_cells(f, len(shifts), 0.0, 1.0)
+        for k in range(len(shifts)):
+            expected = disc.maximize_scalar(
+                lambda t: f(np.array([k]), t[None, :])[0], 0.0, 1.0, vectorized=True
+            )
+            assert (x[k], y[k]) == expected
+
+    def test_rejects_empty_interval(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            disc.maximize_scalar_cells(lambda idx, xs: xs, 1, 1.0, 1.0)
+
+
 class TestPovm:
     def test_rejects_non_hermitian_effect(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])

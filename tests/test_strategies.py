@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampdisc.channel import DampingChannel, InputState
-from dampdisc.discrimination import helstrom_psucc
+from dampdisc.discrimination import helstrom_psucc, maximize_scalar, maximize_scalar_cells
 from dampdisc.linalg import trace_norm
 from dampdisc.strategies import (
     BackwardWeights,
     ChannelPair,
+    PairArrays,
     PolarCurvePoint,
     StrategyResult,
     adaptive_feedback_closed_form,
@@ -49,11 +50,15 @@ from dampdisc.strategies import (
     two_shot_product_psucc,
 )
 from dampdisc.strategies import (
+    _adaptive_forward_optimal_batch,
     _adaptive_forward_values_batch,
+    _checked_psucc,
     _feedback_values_batch,
     _one_shot_values_batch,
+    _side_ent_optimal_batch,
     _side_values_batch,
     _two_shot_ent_values_batch,
+    _two_shot_product_optimal_batch,
     _two_shot_product_values_batch,
 )
 
@@ -508,3 +513,68 @@ class TestStrategyOrdering:
     def test_feedback_dominates_plain_one_shot(self):
         for pair in SAMPLE_PAIRS:
             assert feedback_optimal(pair).psucc >= one_shot_optimal(pair).psucc - 1e-9
+
+
+class TestCellBatchedOptima:
+    """The cell-batched route against the pointwise one, on a 9x9 grid of pairs.
+
+    The grid holds the diagonal, whose flat objectives take the x = 1 rule,
+    and many cells whose grid argmax sits on the edge x = 1.
+    """
+
+    @staticmethod
+    def ordered_grid() -> tuple[np.ndarray, np.ndarray]:
+        axis = np.linspace(0.0, HALF_PI, 9)
+        e0, e1 = np.meshgrid(axis, axis, indexing="ij")
+        return np.maximum(e0, e1).ravel(), np.minimum(e0, e1).ravel()
+
+    @pytest.mark.parametrize(
+        "values, grid_points",
+        [(_two_shot_product_values_batch, 513), (_adaptive_forward_values_batch, 257)],
+    )
+    def test_optimizer_equals_maximize_scalar_cell_by_cell(self, values, grid_points):
+        eta0, eta1 = self.ordered_grid()
+        pairs = PairArrays.columns(eta0, eta1)
+        x_cells, y_cells = maximize_scalar_cells(
+            lambda idx, xs: values(pairs.take(idx), xs), len(eta0), 0.0, 1.0, grid_points=grid_points
+        )
+        for k, (a, b) in enumerate(zip(eta0, eta1)):
+            pair = ChannelPair(float(a), float(b))
+            expected = maximize_scalar(
+                lambda xs: values(pair, xs), 0.0, 1.0, grid_points=grid_points, vectorized=True
+            )
+            assert (x_cells[k], y_cells[k]) == expected
+        # refinements that started from a one-step bracket at the edge x = 1
+        assert np.count_nonzero(x_cells > 1.0 - 1.0 / (grid_points - 1)) > len(eta0) // 2
+
+    def test_product_optimum_equals_pointwise(self):
+        eta0, eta1 = self.ordered_grid()
+        x_star, psucc = _two_shot_product_optimal_batch(PairArrays.columns(eta0, eta1))
+        for k, (a, b) in enumerate(zip(eta0, eta1)):
+            res = two_shot_product_optimal(ChannelPair(float(a), float(b)))
+            assert (x_star[k], psucc[k]) == (res.params["x"], res.psucc)
+        assert np.all(x_star[eta0 == eta1] == 1.0)
+
+    def test_adaptive_optimum_equals_pointwise(self):
+        eta0, eta1 = self.ordered_grid()
+        x_star, psucc = _adaptive_forward_optimal_batch(PairArrays.columns(eta0, eta1))
+        for k, (a, b) in enumerate(zip(eta0, eta1)):
+            res = adaptive_forward_optimal(ChannelPair(float(a), float(b)))
+            assert (x_star[k], psucc[k]) == (res.params["x"], res.psucc)
+
+    def test_side_optimum_matches_pointwise(self):
+        eta0, eta1 = self.ordered_grid()
+        y_star, psucc = _side_ent_optimal_batch(PairArrays.columns(eta0, eta1))
+        for k, (a, b) in enumerate(zip(eta0, eta1)):
+            res = side_ent_optimal(ChannelPair(float(a), float(b)))
+            assert y_star[k] == res.params["y"]
+            assert psucc[k] == pytest.approx(res.psucc, abs=1e-15)
+
+    def test_batch_range_check_matches_strategy_result(self):
+        ok = np.array([0.5 - 5e-10, 0.75, 1.0 + 5e-10])
+        assert _checked_psucc(ok) is ok
+        for bad in (0.5 - 2e-9, 1.0 + 2e-9):
+            with pytest.raises(ValueError, match="outside"):
+                StrategyResult(psucc=bad, params={})
+            with pytest.raises(ValueError, match="outside"):
+                _checked_psucc(np.append(ok, bad))

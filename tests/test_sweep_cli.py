@@ -13,7 +13,10 @@ import pytest
 from dampdisc.strategies import (
     ChannelPair,
     adaptive_forward_optimal,
+    one_shot_optimal,
     one_shot_psucc,
+    side_ent_optimal,
+    side_ent_psucc,
     two_shot_product_optimal,
 )
 from dampdisc.sweep import (
@@ -34,6 +37,17 @@ from dampdisc.sweep import (
 
 HALF_PI = math.pi / 2
 CLI = [sys.executable, "-m", "dampdisc"]
+
+# the per-pair definition of each preset whose grid function is batched
+BATCHED_PRESET_DEFINITIONS = {
+    "fig3": lambda pair: side_ent_optimal(pair).psucc - side_ent_psucc(pair, 0.0),
+    "fig4new": lambda pair: side_ent_optimal(pair).psucc,
+    "fig4": lambda pair: side_ent_optimal(pair).params["y"],
+    "fig7": lambda pair: two_shot_product_optimal(pair).psucc - one_shot_optimal(pair).psucc,
+    "fig8": lambda pair: two_shot_product_optimal(pair).params["x"],
+    "fig10": lambda pair: two_shot_product_optimal(pair).psucc - adaptive_forward_optimal(pair).psucc,
+    "fig11": lambda pair: adaptive_forward_optimal(pair).psucc - one_shot_optimal(pair).psucc,
+}
 
 
 def run_cli(*args: str, **kwargs):
@@ -78,6 +92,40 @@ class TestSweepConfig:
     def test_pair_requires_both_angles(self):
         with pytest.raises(ValueError, match="eta0"):
             SweepConfig(strategy="one-shot", eta0=0.3).pair()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("eta0", "1.2"),
+            ("eta0", math.nan),
+            ("eta1", True),
+            ("eta0_range", (0.0, math.inf)),
+            ("eta0_range", (0.0, None)),
+            ("eta1_range", 5),
+            ("eta1_range", (0.1, 0.2, 0.3)),
+            ("fixed", 3),
+            ("fixed", {"x": "a"}),
+            ("fixed", {"alpha": math.nan}),
+            ("fixed", {"y": False}),
+            ("grid_n", True),
+            ("grid_n", 5.0),
+            ("trials", 10.5),
+            ("trials", True),
+            ("seed", "7"),
+            ("seed", -1),
+            ("output_path", 5),
+        ],
+    )
+    def test_rejects_wrong_types_and_non_finite_values(self, field, value):
+        with pytest.raises(ValueError):
+            SweepConfig(strategy="adaptive", **{field: value})
+
+    def test_ranges_are_stored_as_float_pairs(self):
+        cfg = SweepConfig(strategy="one-shot", eta0_range=[0, 1], eta1_range=(0.5, 1))
+        for rng in (cfg.eta0_range, cfg.eta1_range):
+            assert type(rng) is tuple
+            assert all(type(v) is float for v in rng)
+        assert cfg.eta0_range == (0.0, 1.0)
 
 
 class TestRunPoint:
@@ -171,13 +219,6 @@ class TestRunSweep:
                 expected = one_shot_psucc(ChannelPair(float(e0), float(e1)), 1.0)
                 assert grid.values[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = SweepConfig(strategy="one-shot", grid_n=5)
-        serial = run_sweep(cfg, workers=1)
-        parallel = run_sweep(cfg, workers=4)
-        assert np.array_equal(serial.values, parallel.values)
-        assert format_csv(serial) == format_csv(parallel)
-
     def test_reruns_are_byte_identical(self):
         cfg = SweepConfig(strategy="adaptive", grid_n=3)
         assert format_csv(run_sweep(cfg)) == format_csv(run_sweep(cfg))
@@ -255,8 +296,16 @@ class TestPresets:
         assert best.values.min() >= 0.5 - 1e-9
         assert best.values.max() <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("name", sorted(BATCHED_PRESET_DEFINITIONS))
+    def test_batched_preset_matches_its_per_pair_definition(self, name):
+        grid = run_sweep(PRESETS[name].config(grid_n=7))
+        for i, e0 in enumerate(grid.eta0_values):
+            for j, e1 in enumerate(grid.eta1_values):
+                expected = BATCHED_PRESET_DEFINITIONS[name](ChannelPair(float(e0), float(e1)))
+                assert abs(grid.values[i, j] - expected) <= 1e-12
+
     def test_forward_backward_preset_cell_matches_sign_convention(self):
-        value = PRESETS["fig15"].cell(ChannelPair(1.1, 0.5))
+        (value,) = PRESETS["fig15"].cell(np.array([1.1]), np.array([0.5]))
         assert value <= 1e-9
 
     def test_polar_preset_family(self):
@@ -449,6 +498,25 @@ class TestCli:
         proc = run_cli("one-shot", "--config", str(config))
         assert proc.returncode == 1
         assert "unknown config fields" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"trials": 10.5}, ("--eta0", "1.2", "--eta1", "0.4")),
+            ({"trials": True}, ("--eta0", "1.2", "--eta1", "0.4")),
+            ({"fixed": 3}, ("--eta0", "1.2", "--eta1", "0.4")),
+            ({"fixed": {"x": "a"}}, ("--eta0", "1.2", "--eta1", "0.4")),
+            ({"eta0": "1.2"}, ("--eta1", "0.4")),
+        ],
+    )
+    def test_malformed_config_field_is_one_line_usage_error(self, tmp_path, config, flags):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("adaptive", "--config", str(path), *flags)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
     def test_missing_config_file_is_io_error(self):
         proc = run_cli("one-shot", "--config", "/nope/cfg.json")
