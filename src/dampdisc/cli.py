@@ -30,9 +30,8 @@ EXIT_USAGE = 1
 EXIT_INCONSISTENT = 2
 EXIT_IO = 3
 
+# the positional argument alone picks the strategy or preset
 _CONFIG_KEYS = {
-    "strategy",
-    "preset",
     "grid_n",
     "eta0_range",
     "eta1_range",
@@ -132,7 +131,7 @@ def _build_config(target: str, merged: dict) -> tuple[SweepConfig, str]:
             mode = "point"
     else:
         raise ValueError(f"unknown strategy or preset {target!r}")
-    for key in _CONFIG_KEYS - {"strategy", "preset"}:
+    for key in _CONFIG_KEYS:
         if key in merged:
             kwargs[key] = merged[key]
     return SweepConfig(**kwargs), mode

@@ -1,11 +1,11 @@
 """Minimum-error two-hypothesis discrimination primitives.
 
 Contains the optimal binary measurement for arbitrary priors, the pure-state
-overlap bound, derivative-free maximizers (scalar and two-outcome qubit POVM),
-and a deterministic Monte Carlo engine for finite measurement trees.  All
-optimizers are grid + golden-section: the objectives downstream involve trace
-norms, which are only piecewise smooth (kinks at eigenvalue crossings), so
-derivative-based methods are the wrong tool.
+overlap bound, derivative-free scalar maximizers (one objective, or many
+cells at once) and a deterministic Monte Carlo engine for finite measurement
+trees.  All optimizers are grid + golden-section: the objectives downstream
+involve trace norms, which are only piecewise smooth (kinks at eigenvalue
+crossings), so derivative-based methods are the wrong tool.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +35,11 @@ CELL_CHUNK = 8
 # one Monte Carlo chunk; chunk index seeds the generator, so the estimate is a
 # pure function of (seed, trials) no matter how chunks are spread over workers
 MC_CHUNK = 65536
+# trials per pass inside a chunk.  glibc's malloc reuses heap memory for the
+# arrays of a pass (at most 8192 x 5 doubles, 320 KiB); whole-chunk arrays (up
+# to 2.6 MB) were mapped and zeroed afresh for every chunk, which cost 2^20
+# trials of `adaptive` 26112 page faults on Linux, against 1024 in passes
+MC_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -268,102 +273,6 @@ def two_outcome_povm(m: np.ndarray) -> Povm:
     return Povm(effects=(a, np.eye(a.shape[0], dtype=complex) - a))
 
 
-def _effect_from_parameters(theta: float, chi: float, lam1: float, lam2: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
-    phase = complex(math.cos(chi), math.sin(chi))
-    u = np.array([ct, phase * st])
-    u_perp = np.array([-phase.conjugate() * st, ct])
-    return lam1 * np.outer(u, u.conj()) + lam2 * np.outer(u_perp, u_perp.conj())
-
-
-def _effect_batch(theta, chi, lam1, lam2) -> np.ndarray:
-    """Batched qubit effects, shape (..., 2, 2), from broadcastable parameters."""
-    theta, chi, lam1, lam2 = np.broadcast_arrays(theta, chi, lam1, lam2)
-    ct, st = np.cos(theta), np.sin(theta)
-    phase = np.exp(1j * chi)
-    out = np.empty(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = lam1 * ct * ct + lam2 * st * st
-    out[..., 1, 1] = lam1 * st * st + lam2 * ct * ct
-    out[..., 0, 1] = (lam1 - lam2) * ct * st * np.conj(phase)
-    out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return out
-
-
-def _parameters_from_effect(m: np.ndarray) -> tuple[float, float, float, float]:
-    dec = hermitian_eig(np.asarray(m, dtype=complex))
-    lam1 = float(min(max(dec.eigenvalues[0], 0.0), 1.0))
-    lam2 = float(min(max(dec.eigenvalues[1], 0.0), 1.0))
-    u = dec.vector(0)
-    theta = math.atan2(abs(u[1]), abs(u[0]))
-    chi = float(np.angle(u[1]) - np.angle(u[0])) % (2.0 * math.pi) if abs(u[1]) > 1e-14 else 0.0
-    return theta, chi, lam1, lam2
-
-
-def maximize_povm_2x2(
-    objective: Callable[[Povm], float],
-    *,
-    seeds: Sequence[np.ndarray] = (),
-    grid_points: int = 17,
-    batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
-    refine_tol: float = 1e-7,
-) -> tuple[Povm, float]:
-    """Maximize over two-outcome qubit POVMs {M, I - M}.
-
-    M ranges over lam1 |u><u| + lam2 |u_perp><u_perp| with lam_i in [0, 1] and
-    |u> = (cos theta, e^{i chi} sin theta): a grid over the four parameters,
-    then coordinate-wise golden refinement.  ``seeds`` are candidate effects
-    that are always evaluated (and refined around if they win), so callers can
-    guarantee the result dominates known projective strategies.
-    ``batch_objective`` takes a (..., 2, 2) stack of effects and returns the
-    objective per effect; when given it also evaluates the grid, the seeds and
-    the refinement slices, so it must agree with ``objective``.
-    """
-    thetas = np.linspace(0.0, math.pi / 2, grid_points)
-    chis = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    lams = np.linspace(0.0, 1.0, grid_points)
-
-    def scalar_value(params: tuple[float, float, float, float]) -> float:
-        if batch_objective is not None:
-            return float(batch_objective(_effect_batch(*map(np.asarray, params))))
-        return float(objective(two_outcome_povm(_effect_from_parameters(*params))))
-
-    tg, cg, l1g, l2g = np.meshgrid(thetas, chis, lams, lams, indexing="ij")
-    if batch_objective is not None:
-        values = np.asarray(batch_objective(_effect_batch(tg, cg, l1g, l2g)), dtype=float)
-    else:
-        effects = _effect_batch(tg, cg, l1g, l2g)
-        flat = effects.reshape(-1, 2, 2)
-        values = np.array(
-            [objective(two_outcome_povm(e)) for e in flat], dtype=float
-        ).reshape(tg.shape)
-    i = np.unravel_index(int(np.argmax(values)), values.shape)
-    best_params = (float(tg[i]), float(cg[i]), float(l1g[i]), float(l2g[i]))
-    best_value = float(values[i])
-
-    for seed in seeds:
-        params = _parameters_from_effect(seed)
-        value = scalar_value(params)
-        if value > best_value:
-            best_params, best_value = params, value
-
-    bounds = ((0.0, math.pi / 2), (0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, 1.0))
-    for _ in range(3):  # coordinate ascent passes
-        for axis, (lo, hi) in enumerate(bounds):
-            def slice_f(t: float, axis=axis) -> float:
-                params = list(best_params)
-                params[axis] = t
-                return scalar_value(tuple(params))
-
-            x, y = _golden_section(slice_f, lo, hi, refine_tol)
-            if y > best_value:
-                params = list(best_params)
-                params[axis] = x
-                best_params, best_value = tuple(params), y
-
-    best_effect = _effect_from_parameters(*best_params)
-    return two_outcome_povm(best_effect), best_value
-
-
 def _draw_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
     p = np.asarray(probs, dtype=float)
     total = float(p.sum())
@@ -465,16 +374,21 @@ class MonteCarloEstimate:
 
 def _run_chunk(protocol: Protocol, n: int, seed: int, chunk_index: int) -> int:
     rng = np.random.default_rng([seed, chunk_index])
-    u = rng.random((n, protocol.n_stages + 1))
-    h = (u[:, 0] >= 0.5).astype(np.int64)
-    outcomes: list[np.ndarray] = []
-    for s, table in enumerate(protocol.stage_tables):
-        probs = table[(h, *outcomes)]
-        edges = np.cumsum(probs, axis=1)
-        k = (edges < u[:, s + 1, None]).sum(axis=1)
-        outcomes.append(np.minimum(k, table.shape[-1] - 1))
-    guesses = protocol.decisions[tuple(outcomes)]
-    return int((guesses == h).sum())
+    n_correct = 0
+    for start in range(0, n, MC_BLOCK):
+        # the generator continues its stream, so the blocks draw the same
+        # numbers as one (n, stages + 1) call would
+        u = rng.random((min(MC_BLOCK, n - start), protocol.n_stages + 1))
+        h = (u[:, 0] >= 0.5).astype(np.int64)
+        outcomes: list[np.ndarray] = []
+        for s, table in enumerate(protocol.stage_tables):
+            probs = table[(h, *outcomes)]
+            edges = np.cumsum(probs, axis=1)
+            k = (edges < u[:, s + 1, None]).sum(axis=1)
+            outcomes.append(np.minimum(k, table.shape[-1] - 1))
+        guesses = protocol.decisions[tuple(outcomes)]
+        n_correct += int((guesses == h).sum())
+    return n_correct
 
 
 def monte_carlo_psucc(

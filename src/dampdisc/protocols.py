@@ -178,40 +178,11 @@ def feedback_protocol(pair: ChannelPair, x: float, alpha: float) -> Protocol:
     )
 
 
-def adaptive_forward_protocol(pair: ChannelPair, x: float) -> Protocol:
-    """Projective first measurement, posterior-reweighted optimal second."""
-    rho0, rho1 = pair.output_pair(x)
-    dec = hermitian_eig(rho0 - rho1)
-    basis = (dec.vector(0), dec.vector(1))
-    first = np.array(
-        [[float(np.vdot(v, rho @ v).real) for v in basis] for rho in (rho0, rho1)]
-    )
-    second = np.empty((2, 2, 2))
-    for k in range(2):
-        joint0, joint1 = 0.5 * first[0, k], 0.5 * first[1, k]
-        total = joint0 + joint1
-        if total <= 1e-15:
-            second[0, k] = second[1, k] = UNREACHABLE_ROW
-            continue
-        priors = PriorPair(joint0 / total, joint1 / total)
-        hel = helstrom(rho0, rho1, priors)
-        effects = (hel.projector_plus, hel.projector_minus)
-        second[0, k] = _outcome_row(rho0, effects)
-        second[1, k] = _outcome_row(rho1, effects)
-    return Protocol(
-        name="adaptive",
-        stage_tables=(first, second),
-        decisions=np.array([[0, 1], [0, 1]]),
-        analytic_psucc=adaptive_forward_psucc(pair, x),
-    )
-
-
-def backward_adaptive_protocol(pair: ChannelPair, x: float) -> Protocol:
-    """Optimized two-outcome first effect, posterior-reweighted second step."""
-    rho0, rho1 = pair.output_pair(x)
-    povm, value = backward_adaptive_measurement(pair, x)
-    effects0 = tuple(povm.effects)
-    first = np.array([_outcome_row(rho0, effects0), _outcome_row(rho1, effects0)])
+def _two_stage_protocol(
+    name: str, rho0: np.ndarray, rho1: np.ndarray, first_effects: tuple, analytic: float
+) -> Protocol:
+    """First copy measured with ``first_effects``, second by posterior-weighted Helstrom."""
+    first = np.array([_outcome_row(rho0, first_effects), _outcome_row(rho1, first_effects)])
     second = np.empty((2, 2, 2))
     for m in range(2):
         joint0, joint1 = 0.5 * first[0, m], 0.5 * first[1, m]
@@ -225,11 +196,26 @@ def backward_adaptive_protocol(pair: ChannelPair, x: float) -> Protocol:
         second[0, m] = _outcome_row(rho0, effects)
         second[1, m] = _outcome_row(rho1, effects)
     return Protocol(
-        name="backward",
+        name=name,
         stage_tables=(first, second),
         decisions=np.array([[0, 1], [0, 1]]),
-        analytic_psucc=value,
+        analytic_psucc=analytic,
     )
+
+
+def adaptive_forward_protocol(pair: ChannelPair, x: float) -> Protocol:
+    """Projective first measurement, posterior-reweighted optimal second."""
+    rho0, rho1 = pair.output_pair(x)
+    dec = hermitian_eig(rho0 - rho1)
+    effects = (projector(dec.vector(0)), projector(dec.vector(1)))
+    return _two_stage_protocol("adaptive", rho0, rho1, effects, adaptive_forward_psucc(pair, x))
+
+
+def backward_adaptive_protocol(pair: ChannelPair, x: float) -> Protocol:
+    """Optimized two-outcome first effect, posterior-reweighted second step."""
+    rho0, rho1 = pair.output_pair(x)
+    povm, value = backward_adaptive_measurement(pair, x)
+    return _two_stage_protocol("backward", rho0, rho1, tuple(povm.effects), value)
 
 
 def adaptive_feedback_protocol(pair: ChannelPair) -> Protocol:

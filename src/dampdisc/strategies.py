@@ -21,9 +21,9 @@ import numpy as np
 from .channel import DampingChannel, InputState, SideEntangledInput
 from .discrimination import (
     Povm,
+    PriorPair,
     helstrom,
     helstrom_psucc,
-    maximize_povm_2x2,
     maximize_scalar,
     maximize_scalar_cells,
     pure_state_psucc,
@@ -38,6 +38,9 @@ SCHMIDT_PRODUCT_TOL = 1e-8
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 TWO_SHOT_GRID_POINTS = 513  # 4x4 trace norms have eigenvalue-crossing kinks
+# weighted-Helstrom angles t in [0, pi/2] scanned per probe weight; the grid
+# holds t = pi/4 exactly, which is the forward first measurement
+BACKWARD_T_GRID_POINTS = 4097
 
 
 @dataclass(frozen=True)
@@ -790,40 +793,78 @@ def _backward_value(rho0: np.ndarray, rho1: np.ndarray, w: BackwardWeights) -> f
     )
 
 
+def _backward_values_batch(entries: np.ndarray, t) -> np.ndarray:
+    """Backward value with first effect P+(cos t rho0 - sin t rho1).
+
+    ``entries`` stacks the ``_output_entries`` of both outputs on axis 0, as
+    (a0, b0, d0, a1, b1, d1); its probe weights broadcast against t.  P+
+    projects on the nonnegative eigenspace of W = cos t rho0 - sin t rho1,
+    zero eigenvalues included as in ``helstrom``.  With h = (W00 - W11)/2 and
+    r = hypot(h, W01), a W with one eigenvalue of each sign has
+    Tr rho P+ = 1/2 + (h/r)(rho00 - rho11)/2 + (W01/r) rho01; otherwise P+
+    is I (W >= 0) or 0 (W < 0).
+    """
+    a0, b0, d0, a1, b1, d1 = entries
+    ct, st = np.cos(t), np.sin(t)
+    h = 0.5 * (ct * (a0 - d0) - st * (a1 - d1))
+    w01 = ct * b0 - st * b1
+    r = np.hypot(h, w01)
+    half_trace = 0.5 * (ct - st)
+    mixed = (half_trace - r < 0.0) & (half_trace + r >= 0.0)
+    corner = np.where(half_trace - r >= 0.0, 1.0, 0.0)
+    hz = h / np.where(mixed, r, 1.0)
+    hx = w01 / np.where(mixed, r, 1.0)
+    r0 = np.where(mixed, 0.5 + 0.5 * hz * (a0 - d0) + hx * b0, corner)
+    s0 = np.where(mixed, 0.5 + 0.5 * hz * (a1 - d1) + hx * b1, corner)
+
+    # _backward_value on the real 2x2 entries: both operators have trace r0 - s0
+    tr = r0 - s0
+    m00 = r0 * a0 - s0 * a1
+    m01 = r0 * b0 - s0 * b1
+    m11 = r0 * d0 - s0 * d1
+    first = _trace_norm_2x2(tr, m00 * m11 - m01 * m01)
+    k00 = (1.0 - s0) * a1 - (1.0 - r0) * a0
+    k01 = (1.0 - s0) * b1 - (1.0 - r0) * b0
+    k11 = (1.0 - s0) * d1 - (1.0 - r0) * d0
+    second = _trace_norm_2x2(-tr, k00 * k11 - k01 * k01)
+    return 0.5 + 0.25 * (first + second)
+
+
+def _backward_first_step(pair: ChannelPair, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best weighted-Helstrom angle at each probe weight: (t*, value), one entry per x.
+
+    The backward value depends on the first effect M only through
+    (Tr rho0 M, Tr rho1 M) and is convex there, so its maximum over all
+    effects sits on an extreme point of the reachable set.  Those are the
+    projectors P+(cos t rho0 - sin t rho1), t in [0, pi/2], and their
+    complements, which score the same; t = 0 gives M = I, which scores as
+    M = 0 (quantum Neyman-Pearson; Helstrom 1976).
+    """
+    xs = np.asarray(xs, dtype=float)
+    entries = np.stack(_output_entries(pair.eta0, xs) + _output_entries(pair.eta1, xs))
+    return maximize_scalar_cells(
+        lambda idx, ts: _backward_values_batch(entries[:, idx, None], ts),
+        entries.shape[1],
+        0.0,
+        math.pi / 2,
+        grid_points=BACKWARD_T_GRID_POINTS,
+    )
+
+
 def backward_adaptive_measurement(pair: ChannelPair, x: float) -> tuple[Povm, float]:
     """Best first-copy two-outcome effect, second step outcome-reweighted.
 
-    The search is seeded with the projective first-copy measurement, so the
-    result never falls below the forward strategy at the same probe weight.
+    The effect is the weighted-Helstrom projector found by
+    ``_backward_first_step``; the value is scored on that checked POVM.  The
+    search includes t = pi/4, the projective first measurement, so the result
+    never falls below the forward strategy at the same probe weight.
     """
+    (t_star,), _ = _backward_first_step(pair, np.array([x]))
+    ct, st = math.cos(t_star), math.sin(t_star)
     rho0, rho1 = pair.output_pair(x)
-    a0, d0 = rho0[0, 0].real, rho0[1, 1].real
-    a1, d1 = rho1[0, 0].real, rho1[1, 1].real
-    b0, b1 = rho0[0, 1], rho1[0, 1]
-
-    def batch(effects: np.ndarray) -> np.ndarray:
-        r0 = np.einsum("ij,...ji->...", rho0, effects).real
-        s0 = np.einsum("ij,...ji->...", rho1, effects).real
-        t = r0 - s0
-        m00 = r0 * a0 - s0 * a1
-        m01 = r0 * b0 - s0 * b1
-        m11 = r0 * d0 - s0 * d1
-        first = _trace_norm_2x2(t, m00 * m11 - np.abs(m01) ** 2)
-        k00 = (1.0 - s0) * a1 - (1.0 - r0) * a0
-        k01 = (1.0 - s0) * b1 - (1.0 - r0) * b0
-        k11 = (1.0 - s0) * d1 - (1.0 - r0) * d0
-        second = _trace_norm_2x2(-t, k00 * k11 - np.abs(k01) ** 2)
-        return 0.5 + 0.25 * (first + second)
-
-    def objective(povm: Povm) -> float:
-        return _backward_value(rho0, rho1, backward_weights(rho0, rho1, povm.effects[0]))
-
-    hel = helstrom(rho0, rho1)
-    return maximize_povm_2x2(
-        objective,
-        seeds=(hel.projector_plus, hel.projector_minus),
-        batch_objective=batch,
-    )
+    hel = helstrom(rho0, rho1, PriorPair(ct / (ct + st), st / (ct + st)))
+    povm = Povm(effects=(hel.projector_plus, hel.projector_minus))
+    return povm, _backward_value(rho0, rho1, backward_weights(rho0, rho1, povm.effects[0]))
 
 
 def backward_adaptive_psucc(pair: ChannelPair, x: float) -> float:
@@ -831,9 +872,20 @@ def backward_adaptive_psucc(pair: ChannelPair, x: float) -> float:
 
 
 def backward_adaptive_optimal(pair: ChannelPair, grid_points: int = 65) -> tuple[float, float]:
-    return maximize_scalar(
-        lambda x: backward_adaptive_psucc(pair, x), 0.0, 1.0, grid_points=grid_points, tol=1e-6
+    """Best probe weight for the backward strategy: (x*, value).
+
+    The whole x grid goes through one batched first-step search, and each
+    golden step through one more; the value at x* is scored on its POVM.
+    """
+    x_star, _ = maximize_scalar(
+        lambda xs: _backward_first_step(pair, xs)[1],
+        0.0,
+        1.0,
+        grid_points=grid_points,
+        tol=1e-6,
+        vectorized=True,
     )
+    return x_star, backward_adaptive_psucc(pair, x_star)
 
 
 def fwd_bwd_difference(pair: ChannelPair) -> float:

@@ -164,6 +164,10 @@ class SweepConfig:
                 raise ValueError(f"{key} must lie in [0, {hi_text}], got {self.fixed[key]!r}")
         if "variant" in self.fixed and self.fixed["variant"] not in ("odd", "even"):
             raise ValueError(f"variant must be odd or even, got {self.fixed['variant']!r}")
+        if self.preset is not None and self.fixed:
+            raise ValueError(
+                f"preset {self.preset} takes no fixed parameters, got {', '.join(sorted(self.fixed))}"
+            )
         for name, value in (("eta0", self.eta0), ("eta1", self.eta1)):
             if value is not None and not _in_range(value, 0.0, HALF_PI):
                 raise ValueError(f"{name} must lie in [0, pi/2], got {value!r}")
@@ -600,7 +604,7 @@ PRESETS = {
     ),
     "fig15": FigurePreset(
         id="fig15",
-        description="forward minus backward optimized adaptive success (slow: POVM search per cell)",
+        description="forward minus backward optimized adaptive success",
         strategy="fwd-bwd-diff",
         cell=_per_pair(fwd_bwd_difference),
         grid_n=9,

@@ -224,48 +224,6 @@ class TestPovm:
         assert np.allclose(p.effects[1], np.diag([0.0, 1.0]))
 
 
-class TestMaximizePovm2x2:
-    def test_ground_state_weight_objective(self):
-        def objective(p: disc.Povm) -> float:
-            return float(np.trace(np.diag([1.0, 0.0]) @ p.effects[0]).real)
-
-        povm, value = disc.maximize_povm_2x2(objective)
-        assert value == pytest.approx(1.0, abs=1e-6)
-        assert povm.effects[0][0, 0].real == pytest.approx(1.0, abs=1e-6)
-
-    def test_constant_objective(self):
-        _, value = disc.maximize_povm_2x2(lambda p: 0.5, grid_points=5)
-        assert value == 0.5
-
-    def test_seed_is_always_dominated(self):
-        target = disc._effect_from_parameters(0.1234, 0.777, 1.0, 0.0)
-
-        def objective(p: disc.Povm) -> float:
-            return -float(np.sum(np.abs(p.effects[0] - target) ** 2))
-
-        _, value = disc.maximize_povm_2x2(objective, seeds=[target], grid_points=5)
-        assert value >= -1e-12
-
-    def test_batch_objective_agrees_with_scalar(self):
-        herm = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
-
-        def objective(p: disc.Povm) -> float:
-            return float(np.trace(herm @ p.effects[0]).real)
-
-        def batch(effects: np.ndarray) -> np.ndarray:
-            return np.einsum("ij,...ji->...", herm, effects).real
-
-        _, v_scalar = disc.maximize_povm_2x2(objective, grid_points=7)
-        _, v_batch = disc.maximize_povm_2x2(objective, grid_points=7, batch_objective=batch)
-        assert v_scalar == pytest.approx(v_batch, abs=1e-9)
-
-    def test_effect_parametrization_round_trip(self):
-        m = disc._effect_from_parameters(0.4, 1.3, 0.8, 0.2)
-        params = disc._parameters_from_effect(m)
-        m2 = disc._effect_from_parameters(*params)
-        assert np.max(np.abs(m - m2)) <= 1e-10
-
-
 class TestSampleMeasurement:
     def test_deterministic_outcome_for_eigenstate(self, rng):
         povm = disc.two_outcome_povm(np.diag([1.0, 0.0]))
@@ -368,6 +326,21 @@ class TestProtocolEngine:
         serial = disc.monte_carlo_psucc(proto, trials=200_000, seed=11, workers=1)
         threaded = disc.monte_carlo_psucc(proto, trials=200_000, seed=11, workers=4)
         assert serial.estimate == threaded.estimate
+
+    def test_chunk_passes_count_what_one_whole_chunk_pass_counts(self):
+        def whole_chunk(protocol, n, seed, chunk_index):
+            rng = np.random.default_rng([seed, chunk_index])
+            u = rng.random((n, protocol.n_stages + 1))
+            h = (u[:, 0] >= 0.5).astype(np.int64)
+            outcomes = []
+            for s, table in enumerate(protocol.stage_tables):
+                k = (np.cumsum(table[(h, *outcomes)], axis=1) < u[:, s + 1, None]).sum(axis=1)
+                outcomes.append(np.minimum(k, table.shape[-1] - 1))
+            return int((protocol.decisions[tuple(outcomes)] == h).sum())
+
+        for proto in (biased_protocol(), two_stage_protocol()):
+            for n in (17, disc.MC_BLOCK, 2 * disc.MC_BLOCK + 123, disc.MC_CHUNK):
+                assert disc._run_chunk(proto, n, 9, 3) == whole_chunk(proto, n, 9, 3)
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError, match="trials"):

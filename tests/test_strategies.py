@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampdisc.channel import DampingChannel, InputState
-from dampdisc.discrimination import helstrom_psucc, maximize_scalar, maximize_scalar_cells
+from dampdisc.discrimination import PriorPair, helstrom, helstrom_psucc, maximize_scalar, maximize_scalar_cells
 from dampdisc.linalg import trace_norm
 from dampdisc.strategies import (
+    BACKWARD_T_GRID_POINTS,
     BackwardWeights,
     ChannelPair,
     PairArrays,
@@ -52,9 +53,13 @@ from dampdisc.strategies import (
 from dampdisc.strategies import (
     _adaptive_forward_optimal_batch,
     _adaptive_forward_values_batch,
+    _backward_first_step,
+    _backward_value,
+    _backward_values_batch,
     _checked_psucc,
     _feedback_values_batch,
     _one_shot_values_batch,
+    _output_entries,
     _side_ent_optimal_batch,
     _side_values_batch,
     _two_shot_ent_values_batch,
@@ -472,6 +477,82 @@ class TestBackwardAdaptive:
         diff = fwd_bwd_difference(pair)
         assert diff <= 1e-9
         assert abs(diff) <= 5e-3
+
+    # (pair, x) cases for the exact first-step search; the first two are where
+    # the earlier 4-D POVM search stopped short of the optimum
+    EXACT_CASES = [
+        (ChannelPair(1.3366, 0.2654), 0.9644),
+        (ChannelPair(1.0495, 0.6521), 0.8847),
+        (ChannelPair(1.45, 1.15), 0.6),
+        (ChannelPair(0.9, 0.3), 0.35),
+        (ChannelPair(1.2, 0.4), 0.0),
+        (ChannelPair(HALF_PI, math.pi / 3), 1.0),
+    ]
+
+    def test_beats_the_earlier_povm_search(self):
+        # values the 17^4-point grid plus coordinate ascent over general
+        # effects returned at these points before the weighted-Helstrom search
+        # replaced it
+        for (pair, x), old_value, gain in zip(
+            self.EXACT_CASES[:2], (0.9444891551, 0.7075187072), (2.3e-4, 1.0e-4)
+        ):
+            assert backward_adaptive_psucc(pair, x) >= old_value + gain
+
+    def test_no_random_effect_beats_the_search(self):
+        rng = np.random.default_rng(31)
+        for pair, x in self.EXACT_CASES:
+            rho0, rho1 = pair.output_pair(x)
+            found = backward_adaptive_psucc(pair, x)
+            best = 0.0
+            for k in range(5000):
+                q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                lam = rng.uniform(0.0, 1.0, 2) if k % 2 else np.array([1.0, 0.0])
+                effect = (q * lam) @ q.conj().T
+                effect = 0.5 * (effect + effect.conj().T)
+                best = max(best, _backward_value(rho0, rho1, backward_weights(rho0, rho1, effect)))
+            assert best <= found + 1e-12
+
+    def test_dominates_forward_on_a_grid(self):
+        angles = np.linspace(0.0, HALF_PI, 5)
+        for i, e0 in enumerate(angles):
+            for e1 in angles[: i + 1]:
+                pair = ChannelPair(float(e0), float(e1))
+                for x in np.linspace(0.0, 1.0, 6):
+                    forward = adaptive_forward_psucc(pair, float(x))
+                    assert backward_adaptive_psucc(pair, float(x)) >= forward - 1e-12
+
+    def test_povm_reproduces_the_searched_value(self):
+        for pair, x in self.EXACT_CASES:
+            povm, value = backward_adaptive_measurement(pair, x)
+            rho0, rho1 = pair.output_pair(x)
+            rescored = _backward_value(rho0, rho1, backward_weights(rho0, rho1, povm.effects[0]))
+            assert abs(rescored - value) <= 1e-12
+            (_,), (searched,) = _backward_first_step(pair, np.array([x]))
+            assert abs(searched - value) <= 1e-12
+
+    def test_closed_form_weights_match_the_helstrom_projector(self):
+        for pair, x in self.EXACT_CASES[:4]:
+            rho0, rho1 = pair.output_pair(x)
+            ts = np.linspace(0.0, HALF_PI, 33)
+            entries = np.array(_output_entries(pair.eta0, x) + _output_entries(pair.eta1, x))
+            batch = _backward_values_batch(entries[:, None], ts)
+            for t, value in zip(ts, batch):
+                c, s = math.cos(t), math.sin(t)
+                plus = helstrom(rho0, rho1, PriorPair(c / (c + s), s / (c + s))).projector_plus
+                assert value == pytest.approx(
+                    _backward_value(rho0, rho1, backward_weights(rho0, rho1, plus)), abs=1e-12
+                )
+
+    def test_optimal_probe_weight_dominates_its_grid_and_forward(self):
+        pair = ChannelPair(1.45, 1.15)
+        x_star, value = backward_adaptive_optimal(pair)
+        assert value == backward_adaptive_psucc(pair, x_star)
+        assert value >= adaptive_forward_optimal(pair).psucc - 1e-12
+        for x in np.linspace(0.0, 1.0, 9):
+            assert value >= backward_adaptive_psucc(pair, float(x)) - 1e-12
+
+    def test_angle_grid_holds_the_forward_measurement(self):
+        assert math.pi / 4 in np.linspace(0.0, HALF_PI, BACKWARD_T_GRID_POINTS)
 
 
 class TestSequential:

@@ -518,6 +518,20 @@ class TestCli:
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
+    def test_config_file_cannot_pick_strategy_or_preset(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"strategy": "one-shot", "preset": "fig7", "eta0": 1.0, "eta1": 0.5}))
+        proc = run_cli("adaptive", "--config", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == "usage error: unknown config fields: preset, strategy\n"
+        assert proc.stdout == ""
+
+    def test_preset_with_fixed_parameter_is_one_line_usage_error(self):
+        proc = run_cli("fig7", "--grid", "2", "--x", "0.5", "--format", "json")
+        assert proc.returncode == 1
+        assert proc.stderr == "usage error: preset fig7 takes no fixed parameters, got x\n"
+        assert proc.stdout == ""
+
     def test_missing_config_file_is_io_error(self):
         proc = run_cli("one-shot", "--config", "/nope/cfg.json")
         assert proc.returncode == 3
