@@ -141,28 +141,23 @@ def maximize_scalar(
     *,
     grid_points: int = 257,
     tol: float = 1e-9,
-    vectorized: bool = False,
 ) -> tuple[float, float]:
     """Deterministic scalar maximization: coarse grid, then golden refinement.
 
-    Ties go to the smallest argument (a constant function returns ``lo``).
-    With ``vectorized=True`` the objective is called once on the whole grid.
+    ``f`` maps an array of arguments to the array of their values; it is
+    called once on the whole grid, then on one-point arrays.  Ties go to the
+    smallest argument (a constant function returns ``lo``).
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_points)
-    if vectorized:
-        ys = np.asarray(f(xs), dtype=float)
-        scalar_f = lambda x: float(f(np.array([x]))[0])  # noqa: E731
-    else:
-        ys = np.array([f(x) for x in xs], dtype=float)
-        scalar_f = f
+    ys = np.asarray(f(xs), dtype=float)
     i = int(np.argmax(ys))
     best_x, best_y = float(xs[i]), float(ys[i])
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, grid_points - 1)])
     if b > a:
-        x, y = _golden_section(scalar_f, a, b, tol)
+        x, y = _golden_section(lambda t: float(f(np.array([t]))[0]), a, b, tol)
         # strict improvement only, so plateaus keep the leftmost grid point
         if y > best_y:
             best_x, best_y = x, y
@@ -188,7 +183,7 @@ def maximize_scalar_cells(
     ``tol``.  Brackets differ in length (an argmax on the edge of the grid
     gives one grid step, an interior one two), so cells stop after different
     iteration counts.  Each cell ends with the (x, value) that
-    ``maximize_scalar(..., vectorized=True)`` returns for its objective.
+    ``maximize_scalar`` returns for its objective alone.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -267,30 +262,6 @@ class Povm:
         return self.effects[0].shape[0]
 
 
-def two_outcome_povm(m: np.ndarray) -> Povm:
-    """{M, I - M} for a single qubit effect M."""
-    a = np.asarray(m, dtype=complex)
-    return Povm(effects=(a, np.eye(a.shape[0], dtype=complex) - a))
-
-
-def _draw_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    p = np.asarray(probs, dtype=float)
-    total = float(p.sum())
-    if abs(total - 1.0) > OUTCOME_PROB_TOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    p = np.clip(p, 0.0, None) / max(total, 1e-300)
-    edges = np.cumsum(p)
-    k = int(np.searchsorted(edges, rng.random(), side="right"))
-    return min(k, len(p) - 1)
-
-
-def sample_measurement(rho: np.ndarray, povm: Povm, rng: np.random.Generator) -> int:
-    """Draw one outcome index with Born-rule probabilities Tr[rho E_k]."""
-    r = check_density_matrix(rho)
-    probs = np.array([float(np.trace(r @ e).real) for e in povm.effects])
-    return _draw_categorical(probs, rng)
-
-
 @dataclass(frozen=True, eq=False)
 class Protocol:
     """Finite measurement tree for a uniformly random binary hypothesis.
@@ -332,25 +303,6 @@ class Protocol:
     @property
     def n_stages(self) -> int:
         return len(self.stage_tables)
-
-
-@dataclass(frozen=True)
-class OutcomeSample:
-    true_hypothesis: int
-    outcomes: tuple
-    guessed: int
-
-
-def sample_protocol(protocol: Protocol, true_hypothesis: int, rng: np.random.Generator) -> OutcomeSample:
-    """Run one trial of the measurement tree for a fixed true hypothesis."""
-    if true_hypothesis not in (0, 1):
-        raise ValueError(f"true_hypothesis must be 0 or 1, got {true_hypothesis}")
-    outcomes: list[int] = []
-    for table in protocol.stage_tables:
-        probs = table[(true_hypothesis, *outcomes)]
-        outcomes.append(_draw_categorical(probs, rng))
-    guessed = int(protocol.decisions[tuple(outcomes)])
-    return OutcomeSample(true_hypothesis=true_hypothesis, outcomes=tuple(outcomes), guessed=guessed)
 
 
 def exact_psucc(protocol: Protocol) -> float:

@@ -1,13 +1,14 @@
 """Discrimination strategies for a pair of amplitude damping channels.
 
-Each strategy is exposed two ways where possible: a numeric construction
-(channel outputs fed into the optimal-measurement machinery), which is the
-ground truth, and a closed-form expression, kept as a regression surface and
-cross-checked against the construction in the tests.  Batched private helpers
-(suffix ``_batch``) exist so grid sweeps and the scalar maximizer can evaluate
-thousands of parameter values in one numpy pass; they are validated against
-the pointwise routes.  Given a PairArrays instead of a ChannelPair, the
-helpers that figure presets need also run over many channel pairs at once.
+Each quantity has two independent routes: a numeric construction (channel
+outputs fed into the optimal-measurement machinery), which is the ground
+truth, and one closed or batched form, cross-checked against the construction
+in the tests and in every point evaluation.  The second form takes arrays of
+parameter values, so the maximizers evaluate a whole grid in one numpy pass:
+either a closed form that broadcasts (``one_shot_psucc``,
+``side_ent_gain_expression``) or a private helper with suffix ``_batch``.
+Given a PairArrays instead of a ChannelPair, the forms that figure presets
+need also run over many channel pairs at once.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class PairArrays(NamedTuple):
 
     Stands in for a ChannelPair in ``_output_entries``,
     ``_two_shot_product_values_batch``, ``_adaptive_forward_values_batch``
-    and ``_side_values_batch``: the angles broadcast against the parameter
+    and ``side_ent_gain_expression``: the angles broadcast against the parameter
     array, so column angles of shape (n, 1) with parameters of shape (1, k)
     give an (n, k) block of values.
     """
@@ -207,10 +208,6 @@ def _cos(eta):
     return np.cos(eta) if isinstance(eta, np.ndarray) else math.cos(eta)
 
 
-def _sin(eta):
-    return np.sin(eta) if isinstance(eta, np.ndarray) else math.sin(eta)
-
-
 def _checked_psucc(psucc: np.ndarray) -> np.ndarray:
     """The [1/2, 1] range check of StrategyResult, on every cell of a batch."""
     outside = ~((0.5 - PSUCC_SLACK <= psucc) & (psucc <= 1.0 + PSUCC_SLACK))
@@ -246,13 +243,6 @@ def one_shot_psucc_numeric(pair: ChannelPair, x: float) -> float:
     return helstrom_psucc(rho0, rho1)
 
 
-def _one_shot_values_batch(pair: ChannelPair, xs: np.ndarray) -> np.ndarray:
-    a0, b0, _ = _output_entries(pair.eta0, xs)
-    a1, b1, _ = _output_entries(pair.eta1, xs)
-    # the difference is traceless, so its trace norm is 2*hypot of the entries
-    return 0.5 + 0.5 * np.hypot(a0 - a1, b0 - b1)
-
-
 def one_shot_optimal(pair: ChannelPair) -> StrategyResult:
     """Closed-form optimum over the probe weight x."""
     g = pair.gamma
@@ -267,9 +257,7 @@ def one_shot_optimal(pair: ChannelPair) -> StrategyResult:
 
 
 def one_shot_optimal_numeric(pair: ChannelPair) -> tuple[float, float]:
-    return maximize_scalar(
-        lambda xs: _one_shot_values_batch(pair, xs), 0.0, 1.0, vectorized=True
-    )
+    return maximize_scalar(lambda xs: one_shot_psucc(pair, xs), 0.0, 1.0)
 
 
 def damping_polar_curve(eta1: float, n_points: int) -> list[PolarCurvePoint]:
@@ -302,31 +290,18 @@ def side_ent_psucc(pair: ChannelPair, y: float) -> float:
     return helstrom_psucc(out0, out1)
 
 
-def _side_values_batch(pair: ChannelPair | PairArrays, ys: np.ndarray) -> np.ndarray:
-    s0sq, s1sq = _sin(pair.eta0) ** 2, _sin(pair.eta1) ** 2
-    c0, c1 = _cos(pair.eta0), _cos(pair.eta1)
-    ys = np.asarray(ys, dtype=float)
-    delta = np.zeros(np.broadcast_shapes(np.shape(pair.eta0), ys.shape) + (4, 4))
-    a = (1.0 - ys) * (s0sq - s1sq)
-    b = (c0 - c1) * np.sqrt(np.clip(ys * (1.0 - ys), 0.0, None))
-    delta[..., 0, 0] = a
-    delta[..., 1, 1] = -a
-    delta[..., 1, 2] = delta[..., 2, 1] = b
-    return 0.5 + 0.25 * np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
-
-
-def side_ent_gain_expression(pair: ChannelPair, y) -> float | np.ndarray:
+def side_ent_gain_expression(pair: ChannelPair | PairArrays, y) -> float | np.ndarray:
     """Closed-form separation between the two reference-assisted outputs.
 
     This is the trace norm of the output difference; the success probability
-    is 1/2 plus a quarter of it.
+    is 1/2 plus a quarter of it.  A PairArrays broadcasts against y.
     """
     ys = np.asarray(y, dtype=float)
-    dc = math.cos(pair.eta1) - math.cos(pair.eta0)
-    g = pair.gamma
+    c0, c1 = _cos(pair.eta0), _cos(pair.eta1)
+    g = c0 + c1
     inner = (1.0 - ys) * (4.0 * ys + (1.0 - ys) * g * g)
-    out = dc * ((1.0 - ys) * g + np.sqrt(np.clip(inner, 0.0, None)))
-    return out if ys.ndim else float(out)
+    out = (c1 - c0) * ((1.0 - ys) * g + np.sqrt(np.clip(inner, 0.0, None)))
+    return out if np.ndim(out) else float(out)
 
 
 def side_ent_optimal(pair: ChannelPair) -> StrategyResult:
@@ -337,21 +312,19 @@ def side_ent_optimal(pair: ChannelPair) -> StrategyResult:
 
 
 def side_ent_optimal_numeric(pair: ChannelPair) -> tuple[float, float]:
-    return maximize_scalar(
-        lambda ys: _side_values_batch(pair, ys), 0.0, 1.0, vectorized=True
-    )
+    return maximize_scalar(lambda ys: 0.5 + 0.25 * side_ent_gain_expression(pair, ys), 0.0, 1.0)
 
 
 def _side_ent_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
     """side_ent_optimal for column pairs: (y*, psucc), one entry per row.
 
-    The success probability comes from the batched 4x4 evaluation rather than
+    The success probability comes from the closed-form separation rather than
     the Kraus construction, so it may differ from side_ent_optimal by rounding.
     """
     g = (np.cos(pairs.eta1) + np.cos(pairs.eta0))[:, 0]
     ratio = (g - 1.0) / np.where(g < 2.0, g - 2.0, -1.0)
     y_star = np.where((g < 2.0) & (ratio > 0.0), ratio, 0.0)
-    psucc = _side_values_batch(pairs, y_star[:, None])[:, 0]
+    psucc = 0.5 + 0.25 * side_ent_gain_expression(pairs, y_star[:, None])[:, 0]
     return y_star, _checked_psucc(psucc)
 
 
@@ -508,7 +481,6 @@ def feedback_optimal_numeric(
             0.0,
             1.0,
             grid_points=grid_points,
-            vectorized=True,
         )
         if val > best_val:
             best_x, best_val = x_new, val
@@ -517,7 +489,6 @@ def feedback_optimal_numeric(
             0.0,
             math.pi / 2,
             grid_points=grid_points,
-            vectorized=True,
         )
         if val > best_val:
             best_alpha, best_val = alpha_new, val
@@ -569,7 +540,6 @@ def two_shot_entangled_optimal(pair: ChannelPair, variant: str) -> StrategyResul
         0.0,
         1.0,
         grid_points=TWO_SHOT_GRID_POINTS,
-        vectorized=True,
     )
     return StrategyResult(psucc=psucc, params={"x": x_star})
 
@@ -620,7 +590,6 @@ def two_shot_product_optimal(pair: ChannelPair) -> StrategyResult:
         0.0,
         1.0,
         grid_points=TWO_SHOT_GRID_POINTS,
-        vectorized=True,
     )
     if psucc - 0.5 <= PSUCC_SLACK:
         # indistinguishable pair: the objective is flat, pin the boundary probe
@@ -713,9 +682,7 @@ def _adaptive_forward_values_batch(pair: ChannelPair | PairArrays, xs: np.ndarra
 
 
 def adaptive_forward_optimal(pair: ChannelPair) -> StrategyResult:
-    x_star, psucc = maximize_scalar(
-        lambda xs: _adaptive_forward_values_batch(pair, xs), 0.0, 1.0, vectorized=True
-    )
+    x_star, psucc = maximize_scalar(lambda xs: _adaptive_forward_values_batch(pair, xs), 0.0, 1.0)
     return StrategyResult(psucc=psucc, params={"x": x_star})
 
 
@@ -883,7 +850,6 @@ def backward_adaptive_optimal(pair: ChannelPair, grid_points: int = 65) -> tuple
         1.0,
         grid_points=grid_points,
         tol=1e-6,
-        vectorized=True,
     )
     return x_star, backward_adaptive_psucc(pair, x_star)
 
@@ -917,8 +883,5 @@ def sequential_two_shot_psucc(pair: ChannelPair, x: float) -> float:
 
 
 def sequential_two_shot_optimal(pair: ChannelPair) -> StrategyResult:
-    eff = sequential_effective_pair(pair)
-    x_star, psucc = maximize_scalar(
-        lambda xs: _one_shot_values_batch(eff, xs), 0.0, 1.0, vectorized=True
-    )
-    return StrategyResult(psucc=psucc, params={"x": x_star})
+    """The one-shot closed-form optimum of the effective single channel."""
+    return one_shot_optimal(sequential_effective_pair(pair))

@@ -54,9 +54,7 @@ from .strategies import (
     _adaptive_forward_optimal_batch,
     _adaptive_forward_values_batch,
     _feedback_values_batch,
-    _one_shot_values_batch,
     _side_ent_optimal_batch,
-    _side_values_batch,
     _two_shot_ent_values_batch,
     _two_shot_product_optimal_batch,
     _two_shot_product_values_batch,
@@ -424,14 +422,12 @@ def _point_sequential(pair: ChannelPair, fixed: dict) -> PointReport:
     if x is None:
         res = sequential_two_shot_optimal(pair)
         x, value = res.params["x"], res.psucc
+        other = sequential_two_shot_psucc(pair, x)
     else:
         value = sequential_two_shot_psucc(pair, x)
-    eff = sequential_effective_pair(pair)
+        other = one_shot_psucc(sequential_effective_pair(pair), x)
     _check_close(
-        "sequential composition vs effective single channel",
-        sequential_two_shot_psucc(pair, x),
-        float(_one_shot_values_batch(eff, np.asarray(x))),
-        IDENTITY_CHECK_TOL,
+        "sequential composition vs effective single channel", value, other, IDENTITY_CHECK_TOL
     )
     return PointReport("sequential", value, "psucc", {"x": x})
 
@@ -500,7 +496,7 @@ _one_shot_optima = _per_pair(lambda pair: one_shot_optimal(pair).psucc)
 
 def _preset_side_gain(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
     pairs = PairArrays.columns(eta0, eta1)
-    return _side_ent_optimal_batch(pairs)[1] - _side_values_batch(pairs, 0.0)[:, 0]
+    return _side_ent_optimal_batch(pairs)[1] - (0.5 + 0.25 * side_ent_gain_expression(pairs, 0.0)[:, 0])
 
 
 def _preset_side_optimum(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:

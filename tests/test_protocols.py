@@ -2,10 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from dampdisc.discrimination import exact_psucc, monte_carlo_psucc, sample_protocol
+from dampdisc.discrimination import Protocol, exact_psucc, monte_carlo_psucc
 from dampdisc.protocols import (
     MC_STRATEGIES,
     adaptive_feedback_protocol,
@@ -120,8 +119,16 @@ class TestMonteCarlo:
         assert serial.estimate == threaded.estimate
 
     def test_sampling_respects_decision_table(self):
+        # the same draws scored with every guess flipped succeed exactly
+        # where the original guesses fail
         proto = build_protocol("adaptive", ChannelPair(1.2, 0.4), {"x": 0.7})
-        rng = np.random.default_rng(3)
-        for h in (0, 1):
-            s = sample_protocol(proto, h, rng)
-            assert s.guessed == proto.decisions[s.outcomes]
+        flipped = Protocol(
+            name="flipped",
+            stage_tables=proto.stage_tables,
+            decisions=1 - proto.decisions,
+            analytic_psucc=1.0 - proto.analytic_psucc,
+        )
+        a = monte_carlo_psucc(proto, trials=50_000, seed=3)
+        b = monte_carlo_psucc(flipped, trials=50_000, seed=3)
+        assert 0 < a.n_correct < 50_000
+        assert a.n_correct + b.n_correct == 50_000

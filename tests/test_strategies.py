@@ -58,10 +58,8 @@ from dampdisc.strategies import (
     _backward_values_batch,
     _checked_psucc,
     _feedback_values_batch,
-    _one_shot_values_batch,
     _output_entries,
     _side_ent_optimal_batch,
-    _side_values_batch,
     _two_shot_ent_values_batch,
     _two_shot_product_optimal_batch,
     _two_shot_product_values_batch,
@@ -150,7 +148,7 @@ class TestOneShot:
     def test_batch_matches_scalar(self):
         pair = ChannelPair(1.3, 0.6)
         xs = np.linspace(0.0, 1.0, 17)
-        batch = _one_shot_values_batch(pair, xs)
+        batch = one_shot_psucc(pair, xs)
         for x, v in zip(xs, batch):
             assert v == pytest.approx(one_shot_psucc_numeric(pair, float(x)), abs=1e-12)
 
@@ -220,11 +218,21 @@ class TestSideEntangled:
                 assert side_ent_psucc(pair, y) == pytest.approx(
                     0.5 + 0.25 * expr, abs=1e-12
                 )
+        # column pairs against row weights: one (pairs, weights) block
+        ys = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+        pairs = PairArrays.columns([p.eta0 for p in SAMPLE_PAIRS], [p.eta1 for p in SAMPLE_PAIRS])
+        block = side_ent_gain_expression(pairs, ys[None, :])
+        assert block.shape == (len(SAMPLE_PAIRS), len(ys))
+        for i, pair in enumerate(SAMPLE_PAIRS):
+            for k, y in enumerate(ys):
+                assert side_ent_psucc(pair, float(y)) == pytest.approx(
+                    0.5 + 0.25 * block[i, k], abs=1e-12
+                )
 
     def test_batch_matches_scalar(self):
         pair = ChannelPair(1.4, 1.0)
         ys = np.linspace(0.0, 1.0, 21)
-        batch = _side_values_batch(pair, ys)
+        batch = 0.5 + 0.25 * side_ent_gain_expression(pair, ys)
         for y, v in zip(ys, batch):
             assert v == pytest.approx(side_ent_psucc(pair, float(y)), abs=1e-12)
 
@@ -563,7 +571,19 @@ class TestSequential:
             x = float(rng.uniform())
             eff = sequential_effective_pair(pair)
             assert sequential_two_shot_psucc(pair, x) == pytest.approx(
-                float(_one_shot_values_batch(eff, np.asarray(x))), abs=1e-12
+                one_shot_psucc(eff, x), abs=1e-12
+            )
+
+    def test_closed_optimum_dominates_composition_grid(self):
+        rng = np.random.default_rng(12)
+        xs = np.linspace(0.0, 1.0, 101)
+        for _ in range(20):
+            pair = ChannelPair(*np.sort(rng.uniform(0.0, HALF_PI, 2))[::-1])
+            res = sequential_two_shot_optimal(pair)
+            for x in xs:
+                assert res.psucc >= sequential_two_shot_psucc(pair, float(x)) - 1e-12
+            assert res.psucc == pytest.approx(
+                sequential_two_shot_psucc(pair, res.params["x"]), abs=1e-12
             )
 
     def test_matches_adaptive_in_weak_second_channel_region(self):
@@ -621,9 +641,7 @@ class TestCellBatchedOptima:
         )
         for k, (a, b) in enumerate(zip(eta0, eta1)):
             pair = ChannelPair(float(a), float(b))
-            expected = maximize_scalar(
-                lambda xs: values(pair, xs), 0.0, 1.0, grid_points=grid_points, vectorized=True
-            )
+            expected = maximize_scalar(lambda xs: values(pair, xs), 0.0, 1.0, grid_points=grid_points)
             assert (x_cells[k], y_cells[k]) == expected
         # refinements that started from a one-step bracket at the edge x = 1
         assert np.count_nonzero(x_cells > 1.0 - 1.0 / (grid_points - 1)) > len(eta0) // 2

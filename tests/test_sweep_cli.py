@@ -546,3 +546,10 @@ class TestFlatObjectiveConventions:
     def test_adaptive_optimum_still_half_for_identical_channels(self):
         res = adaptive_forward_optimal(ChannelPair(0.7, 0.7))
         assert res.psucc == pytest.approx(0.5, abs=1e-12)
+
+
+def test_every_exported_name_is_a_package_attribute():
+    # a stale __all__ entry would otherwise fail only at `from dampdisc import *`
+    import dampdisc
+
+    assert [name for name in dampdisc.__all__ if not hasattr(dampdisc, name)] == []
