@@ -187,10 +187,10 @@ def _two_stage_protocol(
 
 
 def adaptive_forward_protocol(pair: ChannelPair, x: float) -> Protocol:
-    """Projective first measurement, posterior-reweighted optimal second."""
+    """First copy measured by the equal-prior Helstrom projectors, posterior-reweighted second."""
     rho0, rho1 = pair.output_pair(x)
-    dec = hermitian_eig(rho0 - rho1)
-    effects = (projector(dec.vector(0)), projector(dec.vector(1)))
+    hel = helstrom(rho0, rho1)
+    effects = (hel.projector_plus, hel.projector_minus)
     return _two_stage_protocol("adaptive", rho0, rho1, effects, adaptive_forward_psucc(pair, x))
 
 

@@ -34,13 +34,14 @@ from .linalg import hermitian_eig, projector, trace_norm
 PSUCC_SLACK = 1e-9
 ZERO_BRANCH_TOL = 1e-12  # squared norm below which an outcome is impossible
 WEIGHT_SLACK = 1e-10
-COMPLEMENT_TOL = 1e-12
 SCHMIDT_PRODUCT_TOL = 1e-8
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 TWO_SHOT_GRID_POINTS = 513  # 4x4 trace norms have eigenvalue-crossing kinks
+# the forward strategy's first effect P+(cos t rho0 - sin t rho1) = P+(rho0 - rho1)
+FORWARD_T = math.pi / 4
 # weighted-Helstrom angles t in [0, pi/2] scanned per probe weight; the grid
-# holds t = pi/4 exactly, which is the forward first measurement
+# holds FORWARD_T exactly, so backward never scores below forward
 BACKWARD_T_GRID_POINTS = 4097
 
 
@@ -87,11 +88,10 @@ class ChannelPair:
 class PairArrays(NamedTuple):
     """Many ordered channel pairs (eta0 >= eta1 entrywise) as angle arrays.
 
-    Stands in for a ChannelPair in ``_output_entries``,
-    ``_two_shot_product_values_batch``, ``_adaptive_forward_values_batch``
-    and ``side_ent_gain_expression``: the angles broadcast against the parameter
-    array, so column angles of shape (n, 1) with parameters of shape (1, k)
-    give an (n, k) block of values.
+    Stands in for a ChannelPair in ``_two_shot_product_values_batch``,
+    ``_adaptive_forward_values_batch`` and ``side_ent_gain_expression``: the
+    angles broadcast against the parameter array, so column angles of shape
+    (n, 1) with parameters of shape (1, k) give an (n, k) block of values.
     """
 
     eta0: np.ndarray
@@ -147,37 +147,6 @@ class ConditionalBranches:
     norm_plus: float
     state_minus: np.ndarray | None
     norm_minus: float
-
-
-@dataclass(frozen=True)
-class PosteriorWeights:
-    """Outcome likelihoods of the first-copy projective measurement."""
-
-    p0: float
-    q0: float
-    p1: float
-    q1: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("p0", self.p0), ("q0", self.q0), ("p1", self.p1), ("q1", self.q1)):
-            if not -WEIGHT_SLACK <= v <= 1.0 + WEIGHT_SLACK:
-                raise ValueError(f"{name} must be a probability, got {v}")
-
-
-@dataclass(frozen=True)
-class BackwardWeights:
-    """First-copy outcome likelihoods for a general two-outcome effect."""
-
-    r0: float
-    s0: float
-    r1: float
-    s1: float
-
-    def __post_init__(self) -> None:
-        if abs(self.r1 - (1.0 - self.s0)) > COMPLEMENT_TOL:
-            raise ValueError("r1 must complement s0")
-        if abs(self.s1 - (1.0 - self.r0)) > COMPLEMENT_TOL:
-            raise ValueError("s1 must complement r0")
 
 
 @dataclass(frozen=True)
@@ -624,61 +593,32 @@ def _two_shot_product_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.n
 # two uses, individual measurements, outcome-driven second step
 
 
-def posterior_weights(pair: ChannelPair, x: float) -> PosteriorWeights:
-    """Outcome likelihoods of measuring the first copy in the difference eigenbasis."""
-    rho0, rho1 = pair.output_pair(x)
-    dec = hermitian_eig(rho0 - rho1)
-    v0, v1 = dec.vector(0), dec.vector(1)
-    return PosteriorWeights(
-        p0=float(np.vdot(v0, rho0 @ v0).real),
-        q0=float(np.vdot(v0, rho1 @ v0).real),
-        p1=float(np.vdot(v1, rho1 @ v1).real),
-        q1=float(np.vdot(v1, rho0 @ v1).real),
+def _two_stage_value(rho0: np.ndarray, rho1: np.ndarray, first_effect: np.ndarray) -> float:
+    """First copy measured with (M, I - M), second by the outcome-weighted Helstrom measurement.
+
+    With r0 = Tr rho0 M and s0 = Tr rho1 M the value is 1/2 + (|| r0 rho0 -
+    s0 rho1 ||_1 + || (1 - s0) rho1 - (1 - r0) rho0 ||_1) / 4, which absorbs
+    the posterior normalizations and stays finite for impossible outcomes.
+    """
+    r0 = float(np.trace(rho0 @ first_effect).real)
+    s0 = float(np.trace(rho1 @ first_effect).real)
+    return 0.5 + 0.25 * (
+        trace_norm(r0 * rho0 - s0 * rho1) + trace_norm((1.0 - s0) * rho1 - (1.0 - r0) * rho0)
     )
 
 
 def adaptive_forward_psucc(pair: ChannelPair, x: float) -> float:
-    """First copy measured projectively, second measurement reweighted by the outcome.
+    """First copy measured on the eigenbasis of rho0 - rho1, second reweighted by the outcome.
 
-    Uses the identity P = 1/2 + (|| p0 rho0 - q0 rho1 ||_1
-    + || q1 rho0 - p1 rho1 ||_1) / 4, which absorbs the posterior
-    normalizations and stays finite for impossible outcomes.
+    This is the backward strategy with its first effect fixed at FORWARD_T.
     """
     rho0, rho1 = pair.output_pair(x)
-    w = posterior_weights(pair, x)
-    return 0.5 + 0.25 * (
-        trace_norm(w.p0 * rho0 - w.q0 * rho1) + trace_norm(w.q1 * rho0 - w.p1 * rho1)
-    )
+    return _two_stage_value(rho0, rho1, helstrom(rho0, rho1).projector_plus)
 
 
 def _adaptive_forward_values_batch(pair: ChannelPair | PairArrays, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    a0, b0, d0 = _output_entries(pair.eta0, xs)
-    a1, b1, d1 = _output_entries(pair.eta1, xs)
-    diff_a = a0 - a1
-    diff_b = b0 - b1
-    r = np.hypot(diff_a, diff_b)
-    # eigenvector of [[A, B], [B, -A]] for +r, branch chosen for stability
-    big = diff_a >= 0.0
-    u0 = np.where(big, r + diff_a, diff_b)
-    u1 = np.where(big, diff_b, r - diff_a)
-    nrm = np.hypot(u0, u1)
-    ok = nrm > 1e-300
-    u0 = np.where(ok, u0 / np.where(ok, nrm, 1.0), 1.0)
-    u1 = np.where(ok, u1 / np.where(ok, nrm, 1.0), 0.0)
-
-    p0 = u0 * u0 * a0 + 2.0 * u0 * u1 * b0 + u1 * u1 * d0
-    q0 = u0 * u0 * a1 + 2.0 * u0 * u1 * b1 + u1 * u1 * d1
-    q1 = u1 * u1 * a0 - 2.0 * u0 * u1 * b0 + u0 * u0 * d0
-    p1 = u1 * u1 * a1 - 2.0 * u0 * u1 * b1 + u0 * u0 * d1
-
-    def norm_of(w0, w1):
-        m00 = w0 * a0 - w1 * a1
-        m01 = w0 * b0 - w1 * b1
-        m11 = w0 * d0 - w1 * d1
-        return _trace_norm_2x2(m00 + m11, m00 * m11 - m01 * m01)
-
-    return 0.5 + 0.25 * (norm_of(p0, q0) + norm_of(q1, p1))
+    entries = _output_entries(pair.eta0, xs) + _output_entries(pair.eta1, xs)
+    return _backward_values_batch(entries, FORWARD_T)
 
 
 def adaptive_forward_optimal(pair: ChannelPair) -> StrategyResult:
@@ -748,28 +688,16 @@ def adaptive_feedback_closed_form(pair: ChannelPair) -> float:
 # two uses, individual measurements, first step a general two-outcome effect
 
 
-def backward_weights(rho0: np.ndarray, rho1: np.ndarray, effect: np.ndarray) -> BackwardWeights:
-    r0 = float(np.trace(rho0 @ effect).real)
-    s0 = float(np.trace(rho1 @ effect).real)
-    return BackwardWeights(r0=r0, s0=s0, r1=1.0 - s0, s1=1.0 - r0)
-
-
-def _backward_value(rho0: np.ndarray, rho1: np.ndarray, w: BackwardWeights) -> float:
-    return 0.5 + 0.25 * (
-        trace_norm(w.r0 * rho0 - w.s0 * rho1) + trace_norm(w.r1 * rho1 - w.s1 * rho0)
-    )
-
-
 def _backward_values_batch(entries: np.ndarray, t) -> np.ndarray:
     """Backward value with first effect P+(cos t rho0 - sin t rho1).
 
-    ``entries`` stacks the ``_output_entries`` of both outputs on axis 0, as
-    (a0, b0, d0, a1, b1, d1); its probe weights broadcast against t.  P+
-    projects on the nonnegative eigenspace of W = cos t rho0 - sin t rho1,
-    zero eigenvalues included as in ``helstrom``.  With h = (W00 - W11)/2 and
-    r = hypot(h, W01), a W with one eigenvalue of each sign has
-    Tr rho P+ = 1/2 + (h/r)(rho00 - rho11)/2 + (W01/r) rho01; otherwise P+
-    is I (W >= 0) or 0 (W < 0).
+    ``entries`` holds the ``_output_entries`` of both outputs, (a0, b0, d0,
+    a1, b1, d1), as a tuple or stacked on axis 0; the probe weights broadcast
+    against t.  P+ projects on the nonnegative eigenspace of
+    W = cos t rho0 - sin t rho1, zero eigenvalues included as in ``helstrom``.
+    With h = (W00 - W11)/2 and r = hypot(h, W01), a W with one eigenvalue of
+    each sign has Tr rho P+ = 1/2 + (h/r)(rho00 - rho11)/2 + (W01/r) rho01;
+    otherwise P+ is I (W >= 0) or 0 (W < 0).
     """
     a0, b0, d0, a1, b1, d1 = entries
     ct, st = np.cos(t), np.sin(t)
@@ -784,7 +712,7 @@ def _backward_values_batch(entries: np.ndarray, t) -> np.ndarray:
     r0 = np.where(mixed, 0.5 + 0.5 * hz * (a0 - d0) + hx * b0, corner)
     s0 = np.where(mixed, 0.5 + 0.5 * hz * (a1 - d1) + hx * b1, corner)
 
-    # _backward_value on the real 2x2 entries: both operators have trace r0 - s0
+    # _two_stage_value on the real 2x2 entries: both operators have trace r0 - s0
     tr = r0 - s0
     m00 = r0 * a0 - s0 * a1
     m01 = r0 * b0 - s0 * b1
@@ -823,15 +751,15 @@ def backward_adaptive_measurement(pair: ChannelPair, x: float) -> tuple[Povm, fl
 
     The effect is the weighted-Helstrom projector found by
     ``_backward_first_step``; the value is scored on that checked POVM.  The
-    search includes t = pi/4, the projective first measurement, so the result
-    never falls below the forward strategy at the same probe weight.
+    search includes FORWARD_T, the forward strategy's first measurement, so
+    the result never falls below the forward strategy at the same probe weight.
     """
     (t_star,), _ = _backward_first_step(pair, np.array([x]))
     ct, st = math.cos(t_star), math.sin(t_star)
     rho0, rho1 = pair.output_pair(x)
     hel = helstrom(rho0, rho1, PriorPair(ct / (ct + st), st / (ct + st)))
     povm = Povm(effects=(hel.projector_plus, hel.projector_minus))
-    return povm, _backward_value(rho0, rho1, backward_weights(rho0, rho1, povm.effects[0]))
+    return povm, _two_stage_value(rho0, rho1, povm.effects[0])
 
 
 def backward_adaptive_psucc(pair: ChannelPair, x: float) -> float:

@@ -62,19 +62,21 @@ from .strategies import (
 
 HALF_PI = math.pi / 2
 
-STRATEGIES = (
-    "one-shot",
-    "side-ent",
-    "feedback",
-    "two-shot-entangled",
-    "two-shot-product",
-    "adaptive",
-    "adaptive-fb",
-    "backward",
-    "sequential",
-    "fwd-bwd-diff",
-    "polar-curve",
-)
+# the fixed parameters each strategy takes; a sweep rejects any other
+STRATEGY_PARAMS = {
+    "one-shot": ("x",),
+    "side-ent": ("y",),
+    "feedback": ("x", "alpha"),
+    "two-shot-entangled": ("x", "variant"),
+    "two-shot-product": ("x",),
+    "adaptive": ("x",),
+    "adaptive-fb": (),
+    "backward": ("x",),
+    "sequential": ("x",),
+    "fwd-bwd-diff": (),
+    "polar-curve": ("x",),
+}
+STRATEGIES = tuple(STRATEGY_PARAMS)
 
 FIXED_KEYS = ("x", "y", "alpha", "variant")
 
@@ -648,8 +650,13 @@ def run_sweep(cfg: SweepConfig) -> "SweepGrid | CurveFamily":
     """Evaluate the configured quantity on the (eta0, eta1) grid.
 
     Every cell depends only on its channel pair, which is ordered (stronger
-    damping first) before the grid function sees it.
+    damping first) before the grid function sees it.  A fixed parameter the
+    strategy does not take is rejected, so the metadata records only inputs
+    that shaped the values.
     """
+    ignored = sorted(set(cfg.fixed) - set(STRATEGY_PARAMS[cfg.strategy]))
+    if ignored:
+        raise ValueError(f"strategy {cfg.strategy} takes no parameter {', '.join(ignored)}")
     if cfg.strategy == "polar-curve":
         return _polar_family(cfg)
     if cfg.preset is not None:

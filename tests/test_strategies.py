@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from dampdisc.channel import DampingChannel, InputState
 from dampdisc.discrimination import PriorPair, helstrom, helstrom_psucc, maximize_scalar, maximize_scalar_cells
-from dampdisc.linalg import trace_norm
+from dampdisc.linalg import hermitian_eig, trace_norm
 from dampdisc.strategies import (
     BACKWARD_T_GRID_POINTS,
-    BackwardWeights,
+    FORWARD_T,
     ChannelPair,
     PairArrays,
     PolarCurvePoint,
@@ -24,7 +24,6 @@ from dampdisc.strategies import (
     backward_adaptive_measurement,
     backward_adaptive_optimal,
     backward_adaptive_psucc,
-    backward_weights,
     damping_polar_curve,
     feedback_conditional_states,
     feedback_optimal,
@@ -37,7 +36,6 @@ from dampdisc.strategies import (
     one_shot_optimal_numeric,
     one_shot_psucc,
     one_shot_psucc_numeric,
-    posterior_weights,
     sequential_effective_pair,
     sequential_two_shot_optimal,
     sequential_two_shot_psucc,
@@ -54,7 +52,6 @@ from dampdisc.strategies import (
     _adaptive_forward_optimal_batch,
     _adaptive_forward_values_batch,
     _backward_first_step,
-    _backward_value,
     _backward_values_batch,
     _checked_psucc,
     _feedback_values_batch,
@@ -63,6 +60,7 @@ from dampdisc.strategies import (
     _two_shot_ent_values_batch,
     _two_shot_product_optimal_batch,
     _two_shot_product_values_batch,
+    _two_stage_value,
 )
 
 HALF_PI = math.pi / 2
@@ -107,11 +105,6 @@ class TestResultTypes:
             StrategyResult(psucc=0.4, params={})
         with pytest.raises(ValueError):
             StrategyResult(psucc=1.1, params={})
-
-    def test_backward_weights_complement(self):
-        with pytest.raises(ValueError):
-            BackwardWeights(r0=0.7, s0=0.2, r1=0.9, s1=0.3)
-        BackwardWeights(r0=0.7, s0=0.2, r1=0.8, s1=0.3)
 
     def test_polar_point_range(self):
         with pytest.raises(ValueError):
@@ -404,11 +397,30 @@ class TestTwoShotProduct:
 
 
 class TestAdaptiveForward:
-    def test_posterior_weights_are_likelihoods(self):
-        pair = ChannelPair(1.1, 0.6)
-        w = posterior_weights(pair, 0.7)
-        assert w.p0 + w.q1 == pytest.approx(1.0, abs=1e-12)
-        assert w.q0 + w.p1 == pytest.approx(1.0, abs=1e-12)
+    @staticmethod
+    def eigenbasis_posterior_value(pair: ChannelPair, x: float) -> float:
+        # the first copy measured in the eigenbasis of rho0 - rho1, each
+        # outcome's likelihoods weighting the second copy's Helstrom problem
+        rho0, rho1 = pair.output_pair(x)
+        dec = hermitian_eig(rho0 - rho1)
+        v0, v1 = dec.vector(0), dec.vector(1)
+        p0, q0 = np.vdot(v0, rho0 @ v0).real, np.vdot(v0, rho1 @ v0).real
+        q1, p1 = np.vdot(v1, rho0 @ v1).real, np.vdot(v1, rho1 @ v1).real
+        assert p0 + q1 == pytest.approx(1.0, abs=1e-12)
+        assert q0 + p1 == pytest.approx(1.0, abs=1e-12)
+        return 0.5 + 0.25 * (trace_norm(p0 * rho0 - q0 * rho1) + trace_norm(q1 * rho0 - p1 * rho1))
+
+    def test_matches_the_eigenbasis_posterior_route(self):
+        rng = np.random.default_rng(19)
+        cases = [
+            (ChannelPair(*np.sort(rng.uniform(0.0, HALF_PI, 2))[::-1]), float(rng.uniform()))
+            for _ in range(25)
+        ]
+        cases += [(ChannelPair(0.8, 0.8), 0.6), (ChannelPair(1.2, 0.4), 0.0), (ChannelPair(1.2, 0.4), 1.0)]
+        for pair, x in cases:
+            assert adaptive_forward_psucc(pair, x) == pytest.approx(
+                self.eigenbasis_posterior_value(pair, x), abs=1e-12
+            )
 
     def test_scalar_matches_batch(self):
         rng = np.random.default_rng(7)
@@ -456,11 +468,12 @@ class TestAdaptiveFeedback:
 
 class TestBackwardAdaptive:
     def test_weights_from_effect(self):
+        # the identity first effect learns nothing: the second copy alone decides
         pair = ChannelPair(1.0, 0.4)
         rho0, rho1 = pair.output_pair(0.7)
-        w = backward_weights(rho0, rho1, np.eye(2, dtype=complex))
-        assert w.r0 == pytest.approx(1.0, abs=1e-12)
-        assert w.s0 == pytest.approx(1.0, abs=1e-12)
+        assert _two_stage_value(rho0, rho1, np.eye(2, dtype=complex)) == pytest.approx(
+            one_shot_psucc(pair, 0.7), abs=1e-12
+        )
 
     def test_dominates_forward_pointwise(self):
         pair = ChannelPair(1.45, 1.15)
@@ -517,7 +530,7 @@ class TestBackwardAdaptive:
                 lam = rng.uniform(0.0, 1.0, 2) if k % 2 else np.array([1.0, 0.0])
                 effect = (q * lam) @ q.conj().T
                 effect = 0.5 * (effect + effect.conj().T)
-                best = max(best, _backward_value(rho0, rho1, backward_weights(rho0, rho1, effect)))
+                best = max(best, _two_stage_value(rho0, rho1, effect))
             assert best <= found + 1e-12
 
     def test_dominates_forward_on_a_grid(self):
@@ -533,7 +546,7 @@ class TestBackwardAdaptive:
         for pair, x in self.EXACT_CASES:
             povm, value = backward_adaptive_measurement(pair, x)
             rho0, rho1 = pair.output_pair(x)
-            rescored = _backward_value(rho0, rho1, backward_weights(rho0, rho1, povm.effects[0]))
+            rescored = _two_stage_value(rho0, rho1, povm.effects[0])
             assert abs(rescored - value) <= 1e-12
             (_,), (searched,) = _backward_first_step(pair, np.array([x]))
             assert abs(searched - value) <= 1e-12
@@ -547,9 +560,7 @@ class TestBackwardAdaptive:
             for t, value in zip(ts, batch):
                 c, s = math.cos(t), math.sin(t)
                 plus = helstrom(rho0, rho1, PriorPair(c / (c + s), s / (c + s))).projector_plus
-                assert value == pytest.approx(
-                    _backward_value(rho0, rho1, backward_weights(rho0, rho1, plus)), abs=1e-12
-                )
+                assert value == pytest.approx(_two_stage_value(rho0, rho1, plus), abs=1e-12)
 
     def test_optimal_probe_weight_dominates_its_grid_and_forward(self):
         pair = ChannelPair(1.45, 1.15)
@@ -560,7 +571,7 @@ class TestBackwardAdaptive:
             assert value >= backward_adaptive_psucc(pair, float(x)) - 1e-12
 
     def test_angle_grid_holds_the_forward_measurement(self):
-        assert math.pi / 4 in np.linspace(0.0, HALF_PI, BACKWARD_T_GRID_POINTS)
+        assert FORWARD_T in np.linspace(0.0, HALF_PI, BACKWARD_T_GRID_POINTS)
 
 
 class TestSequential:

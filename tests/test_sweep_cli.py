@@ -532,6 +532,20 @@ class TestCli:
         assert proc.stderr == "usage error: preset fig7 takes no fixed parameters, got x\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("sequential", "--grid", "2", "--y", "0.3", "--format", "json"), "y"),
+            (("adaptive-fb", "--grid", "2", "--x", "0.3"), "x"),
+        ],
+    )
+    def test_sweep_with_a_parameter_the_strategy_ignores_is_usage_error(self, argv, key):
+        # the metadata would otherwise record a parameter that shaped no value
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr == f"usage error: strategy {argv[0]} takes no parameter {key}\n"
+        assert proc.stdout == ""
+
     def test_missing_config_file_is_io_error(self):
         proc = run_cli("one-shot", "--config", "/nope/cfg.json")
         assert proc.returncode == 3
