@@ -43,6 +43,9 @@ FORWARD_T = math.pi / 4
 # weighted-Helstrom angles t in [0, pi/2] scanned per probe weight; the grid
 # holds FORWARD_T exactly, so backward never scores below forward
 BACKWARD_T_GRID_POINTS = 4097
+# probe weights scanned before the golden refinement of the backward optimum
+BACKWARD_X_GRID_POINTS = 65
+BACKWARD_X_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,10 @@ class PairArrays(NamedTuple):
     """Many ordered channel pairs (eta0 >= eta1 entrywise) as angle arrays.
 
     Stands in for a ChannelPair in ``_two_shot_product_values_batch``,
-    ``_adaptive_forward_values_batch`` and ``side_ent_gain_expression``: the
-    angles broadcast against the parameter array, so column angles of shape
-    (n, 1) with parameters of shape (1, k) give an (n, k) block of values.
+    ``_adaptive_forward_values_batch``, ``_backward_first_step`` and
+    ``side_ent_gain_expression``: the angles broadcast against the parameter
+    array, so column angles of shape (n, 1) with parameters of shape (1, k)
+    give an (n, k) block of values.
     """
 
     eta0: np.ndarray
@@ -104,6 +108,10 @@ class PairArrays(NamedTuple):
 
     def take(self, idx: np.ndarray) -> "PairArrays":
         return PairArrays(self.eta0[idx], self.eta1[idx])
+
+    def channel_pairs(self) -> list[ChannelPair]:
+        """The ChannelPair of each row of column pairs."""
+        return [ChannelPair(float(a), float(b)) for a, b in zip(self.eta0[:, 0], self.eta1[:, 0])]
 
 
 @dataclass(frozen=True)
@@ -725,10 +733,13 @@ def _backward_values_batch(entries: np.ndarray, t) -> np.ndarray:
     return 0.5 + 0.25 * (first + second)
 
 
-def _backward_first_step(pair: ChannelPair, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best weighted-Helstrom angle at each probe weight: (t*, value), one entry per x.
+def _backward_first_step(pair: ChannelPair | PairArrays, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Best weighted-Helstrom angle at each probe weight: (t*, value) per cell.
 
-    The backward value depends on the first effect M only through
+    The cells are the pair angles broadcast against ``xs`` (a PairArrays of
+    shape (m, 1) against xs of shape (1, k) gives an (m, k) block), and all
+    of them are searched over t in one ``maximize_scalar_cells`` pass.  The
+    backward value depends on the first effect M only through
     (Tr rho0 M, Tr rho1 M) and is convex there, so its maximum over all
     effects sits on an extreme point of the reachable set.  Those are the
     projectors P+(cos t rho0 - sin t rho1), t in [0, pi/2], and their
@@ -736,13 +747,31 @@ def _backward_first_step(pair: ChannelPair, xs: np.ndarray) -> tuple[np.ndarray,
     M = 0 (quantum Neyman-Pearson; Helstrom 1976).
     """
     xs = np.asarray(xs, dtype=float)
-    entries = np.stack(_output_entries(pair.eta0, xs) + _output_entries(pair.eta1, xs))
-    return maximize_scalar_cells(
+    cells = np.broadcast_arrays(*_output_entries(pair.eta0, xs), *_output_entries(pair.eta1, xs))
+    entries = np.stack([c.ravel() for c in cells])
+    t_star, value = maximize_scalar_cells(
         lambda idx, ts: _backward_values_batch(entries[:, idx, None], ts),
         entries.shape[1],
         0.0,
         math.pi / 2,
         grid_points=BACKWARD_T_GRID_POINTS,
+    )
+    return t_star.reshape(cells[0].shape), value.reshape(cells[0].shape)
+
+
+def _backward_povm(pair: ChannelPair, x: float, t: float) -> tuple[Povm, float]:
+    """The checked first-copy POVM (P+, P-) of cos t rho0 - sin t rho1, and its value."""
+    ct, st = math.cos(t), math.sin(t)
+    rho0, rho1 = pair.output_pair(x)
+    hel = helstrom(rho0, rho1, PriorPair(ct / (ct + st), st / (ct + st)))
+    povm = Povm(effects=(hel.projector_plus, hel.projector_minus))
+    return povm, _two_stage_value(rho0, rho1, povm.effects[0])
+
+
+def _backward_scored(pairs: PairArrays, xs, ts) -> np.ndarray:
+    """Backward value of each column pair at its (x, t), scored on its POVM."""
+    return np.array(
+        [_backward_povm(pair, x, t)[1] for pair, x, t in zip(pairs.channel_pairs(), xs, ts)]
     )
 
 
@@ -755,39 +784,54 @@ def backward_adaptive_measurement(pair: ChannelPair, x: float) -> tuple[Povm, fl
     the result never falls below the forward strategy at the same probe weight.
     """
     (t_star,), _ = _backward_first_step(pair, np.array([x]))
-    ct, st = math.cos(t_star), math.sin(t_star)
-    rho0, rho1 = pair.output_pair(x)
-    hel = helstrom(rho0, rho1, PriorPair(ct / (ct + st), st / (ct + st)))
-    povm = Povm(effects=(hel.projector_plus, hel.projector_minus))
-    return povm, _two_stage_value(rho0, rho1, povm.effects[0])
+    return _backward_povm(pair, x, t_star)
 
 
 def backward_adaptive_psucc(pair: ChannelPair, x: float) -> float:
     return backward_adaptive_measurement(pair, x)[1]
 
 
-def backward_adaptive_optimal(pair: ChannelPair, grid_points: int = 65) -> tuple[float, float]:
-    """Best probe weight for the backward strategy: (x*, value).
+def _backward_adaptive_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Best probe weight for the backward strategy, column pairs: (x*, value) per row.
 
-    The whole x grid goes through one batched first-step search, and each
-    golden step through one more; the value at x* is scored on its POVM.
+    Each golden step over x runs one first-step search over every row still
+    refining.  The value at x* is scored on the checked POVM at the angle a
+    last batched first step finds there; a row's first step does not depend
+    on the rows searched beside it, so that angle is the one the x search saw.
     """
-    x_star, _ = maximize_scalar(
-        lambda xs: _backward_first_step(pair, xs)[1],
+    x_star, _ = maximize_scalar_cells(
+        lambda idx, xs: _backward_first_step(pairs.take(idx), xs)[1],
+        len(pairs.eta0),
         0.0,
         1.0,
-        grid_points=grid_points,
-        tol=1e-6,
+        grid_points=BACKWARD_X_GRID_POINTS,
+        tol=BACKWARD_X_TOL,
     )
-    return x_star, backward_adaptive_psucc(pair, x_star)
+    t_star, _ = _backward_first_step(pairs, x_star[:, None])
+    return x_star, _checked_psucc(_backward_scored(pairs, x_star, t_star[:, 0]))
+
+
+def backward_adaptive_optimal(pair: ChannelPair) -> tuple[float, float]:
+    """Best probe weight for the backward strategy: (x*, value)."""
+    x_star, value = _backward_adaptive_optimal_batch(PairArrays.columns([pair.eta0], [pair.eta1]))
+    return float(x_star[0]), float(value[0])
+
+
+def _fwd_bwd_difference_batch(pairs: PairArrays) -> np.ndarray:
+    """fwd_bwd_difference for column pairs, one entry per row.
+
+    Backward counts with its value at the forward optimum's probe weight too,
+    since its own x search may stop on a lower local maximum.
+    """
+    x_fwd, forward = _adaptive_forward_optimal_batch(pairs)
+    _, backward = _backward_adaptive_optimal_batch(pairs)
+    t_fwd, _ = _backward_first_step(pairs, x_fwd[:, None])
+    return forward - np.maximum(backward, _backward_scored(pairs, x_fwd, t_fwd[:, 0]))
 
 
 def fwd_bwd_difference(pair: ChannelPair) -> float:
     """max-over-x forward value minus max-over-x backward value (signed)."""
-    forward = adaptive_forward_optimal(pair)
-    _, bwd = backward_adaptive_optimal(pair)
-    bwd = max(bwd, backward_adaptive_psucc(pair, forward.params["x"]))
-    return forward.psucc - bwd
+    return float(_fwd_bwd_difference_batch(PairArrays.columns([pair.eta0], [pair.eta1]))[0])
 
 
 # ---------------------------------------------------------------------------

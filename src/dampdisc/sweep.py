@@ -53,7 +53,11 @@ from .strategies import (
 from .strategies import (
     _adaptive_forward_optimal_batch,
     _adaptive_forward_values_batch,
+    _backward_adaptive_optimal_batch,
+    _backward_first_step,
+    _backward_scored,
     _feedback_values_batch,
+    _fwd_bwd_difference_batch,
     _side_ent_optimal_batch,
     _two_shot_ent_values_batch,
     _two_shot_product_optimal_batch,
@@ -74,7 +78,7 @@ STRATEGY_PARAMS = {
     "backward": ("x",),
     "sequential": ("x",),
     "fwd-bwd-diff": (),
-    "polar-curve": ("x",),
+    "polar-curve": (),
 }
 STRATEGIES = tuple(STRATEGY_PARAMS)
 
@@ -85,6 +89,7 @@ ARGMAX_CHECK_TOL = 1e-3
 IDENTITY_CHECK_TOL = 1e-9
 FLAT_OBJECTIVE_TOL = 1e-9  # below this excess over 1/2 argmax location is meaningless
 MC_Z_LIMIT = 4.0
+MC_EXACT_GAP = 1e-12  # an estimate this close to the analytic value has z = 0
 
 POLAR_CURVE_ANGLES = (0.0, math.pi / 6, math.pi / 3)
 POLAR_GRID_DEFAULT = 91
@@ -234,6 +239,13 @@ class CurveFamily:
 
 @dataclass(frozen=True)
 class McReport:
+    """A simulation against its analytic value.
+
+    ``stderr`` is the sample standard error of the estimate; ``z`` divides the
+    gap by the binomial spread at the analytic value instead, which stays
+    nonzero when every trial agrees.
+    """
+
     analytic: float
     estimate: float
     stderr: float
@@ -406,16 +418,20 @@ def _point_adaptive_fb(pair: ChannelPair, fixed: dict) -> PointReport:
     return PointReport("adaptive-fb", value, "psucc", {})
 
 
+def _check_backward_dominates(backward, forward, what: str) -> None:
+    """Backward contains the forward first measurement, so it never scores lower."""
+    if np.any(np.asarray(backward) < np.asarray(forward) - IDENTITY_CHECK_TOL):
+        raise ConsistencyError(f"backward {what} fell below the forward {what}")
+
+
 def _point_backward(pair: ChannelPair, fixed: dict) -> PointReport:
     x = fixed.get("x")
     if x is not None:
         value = backward_adaptive_psucc(pair, x)
-        if value < adaptive_forward_psucc(pair, x) - IDENTITY_CHECK_TOL:
-            raise ConsistencyError("backward optimization fell below the forward value")
+        _check_backward_dominates(value, adaptive_forward_psucc(pair, x), "value")
         return PointReport("backward", value, "psucc", {"x": x})
     x_star, value = backward_adaptive_optimal(pair)
-    if value < adaptive_forward_optimal(pair).psucc - IDENTITY_CHECK_TOL:
-        raise ConsistencyError("backward optimum fell below the forward optimum")
+    _check_backward_dominates(value, adaptive_forward_optimal(pair).psucc, "optimum")
     return PointReport("backward", value, "psucc", {"x": x_star})
 
 
@@ -434,12 +450,16 @@ def _point_sequential(pair: ChannelPair, fixed: dict) -> PointReport:
     return PointReport("sequential", value, "psucc", {"x": x})
 
 
-def _point_fwd_bwd(pair: ChannelPair, fixed: dict) -> PointReport:
-    value = fwd_bwd_difference(pair)
-    if value > IDENTITY_CHECK_TOL:
+def _check_fwd_bwd(difference) -> None:
+    if np.any(np.asarray(difference) > IDENTITY_CHECK_TOL):
         raise ConsistencyError(
             "forward optimum exceeded the backward optimum, which is structurally impossible"
         )
+
+
+def _point_fwd_bwd(pair: ChannelPair, fixed: dict) -> PointReport:
+    value = fwd_bwd_difference(pair)
+    _check_fwd_bwd(value)
     return PointReport("fwd-bwd-diff", value, "difference", {})
 
 
@@ -538,6 +558,31 @@ def _preset_second_copy_feedback_gain(pair: ChannelPair) -> float:
     return adaptive_feedback_psucc(pair) - feedback_optimal(pair).psucc
 
 
+def _grid_fwd_bwd(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    """fwd-bwd-diff on every cell at once, with the point query's check on each."""
+    difference = _fwd_bwd_difference_batch(PairArrays.columns(eta0, eta1))
+    _check_fwd_bwd(difference)
+    return difference
+
+
+def _grid_backward(fixed: dict) -> GridCell:
+    """backward on every cell at once, with the point query's check on each."""
+    x = fixed.get("x")
+
+    def cell(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+        pairs = PairArrays.columns(eta0, eta1)
+        if x is None:
+            value = _backward_adaptive_optimal_batch(pairs)[1]
+            _check_backward_dominates(value, _adaptive_forward_optimal_batch(pairs)[1], "optimum")
+            return value
+        t_star, _ = _backward_first_step(pairs, x)
+        value = _backward_scored(pairs, [x] * len(eta0), t_star[:, 0])
+        _check_backward_dominates(value, _adaptive_forward_values_batch(pairs, x)[:, 0], "value")
+        return value
+
+    return cell
+
+
 PRESETS = {
     "fig2new": FigurePreset(
         id="fig2new",
@@ -604,7 +649,7 @@ PRESETS = {
         id="fig15",
         description="forward minus backward optimized adaptive success",
         strategy="fwd-bwd-diff",
-        cell=_per_pair(fwd_bwd_difference),
+        cell=_grid_fwd_bwd,
         grid_n=9,
     ),
 }
@@ -661,6 +706,10 @@ def run_sweep(cfg: SweepConfig) -> "SweepGrid | CurveFamily":
         return _polar_family(cfg)
     if cfg.preset is not None:
         cell = PRESETS[cfg.preset].cell
+    elif cfg.strategy == "fwd-bwd-diff":
+        cell = _grid_fwd_bwd
+    elif cfg.strategy == "backward":
+        cell = _grid_backward(cfg.fixed)
     else:
         cell = _per_pair(lambda pair: _POINT_DISPATCH[cfg.strategy](pair, cfg.fixed).value)
     eta0s = np.linspace(cfg.eta0_range[0], cfg.eta0_range[1], cfg.grid_n)
@@ -688,11 +737,17 @@ def run_mc(cfg: SweepConfig) -> McReport:
         )
     protocol = build_protocol(cfg.strategy, cfg.pair(), cfg.fixed)
     est = monte_carlo_psucc(protocol, trials=cfg.trials, seed=cfg.seed)
-    gap = est.estimate - protocol.analytic_psucc
-    if est.stderr > 0.0:
-        z = gap / est.stderr
+    p = protocol.analytic_psucc
+    gap = est.estimate - p
+    # the binomial spread at the analytic value: the sample stderr is 0 whenever
+    # every trial agrees, which says nothing about whether the estimate is off
+    spread = math.sqrt(max(p * (1.0 - p), 0.0) / est.trials)
+    if abs(gap) <= MC_EXACT_GAP:
+        z = 0.0
+    elif spread > 0.0:
+        z = gap / spread
     else:
-        z = 0.0 if abs(gap) < 1e-12 else math.inf
+        z = math.inf
     return McReport(
         analytic=protocol.analytic_psucc,
         estimate=est.estimate,

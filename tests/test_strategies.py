@@ -51,10 +51,12 @@ from dampdisc.strategies import (
 from dampdisc.strategies import (
     _adaptive_forward_optimal_batch,
     _adaptive_forward_values_batch,
+    _backward_adaptive_optimal_batch,
     _backward_first_step,
     _backward_values_batch,
     _checked_psucc,
     _feedback_values_batch,
+    _fwd_bwd_difference_batch,
     _output_entries,
     _side_ent_optimal_batch,
     _two_shot_ent_values_batch,
@@ -573,6 +575,17 @@ class TestBackwardAdaptive:
     def test_angle_grid_holds_the_forward_measurement(self):
         assert FORWARD_T in np.linspace(0.0, HALF_PI, BACKWARD_T_GRID_POINTS)
 
+    def test_first_step_on_a_pair_block_equals_per_pair_calls(self):
+        pairs = [pair for pair, _ in self.EXACT_CASES] + [ChannelPair(0.7, 0.7)]
+        xs = np.array([0.0, 0.35, 0.9644, 1.0])
+        block = PairArrays.columns([p.eta0 for p in pairs], [p.eta1 for p in pairs])
+        t_block, value_block = _backward_first_step(block, xs[None, :])
+        assert t_block.shape == value_block.shape == (len(pairs), len(xs))
+        for k, pair in enumerate(pairs):
+            t_row, value_row = _backward_first_step(pair, xs)
+            assert np.array_equal(t_block[k], t_row)
+            assert np.array_equal(value_block[k], value_row)
+
 
 class TestSequential:
     def test_composition_identity(self):
@@ -671,6 +684,39 @@ class TestCellBatchedOptima:
         for k, (a, b) in enumerate(zip(eta0, eta1)):
             res = adaptive_forward_optimal(ChannelPair(float(a), float(b)))
             assert (x_star[k], psucc[k]) == (res.params["x"], res.psucc)
+
+    @pytest.fixture(scope="class")
+    def backward_cells(self):
+        # the lower triangle of a 5x5 grid (diagonal, eta = 0 and pi/2
+        # included), with the backward optimum and the forward-backward
+        # difference of each pair found one pair at a time: a maximize_scalar
+        # search over x, each value rescored by a new first step at its x
+        axis = np.linspace(0.0, HALF_PI, 5)
+        eta0 = np.array([a for i, a in enumerate(axis) for _ in axis[: i + 1]])
+        eta1 = np.array([b for i in range(len(axis)) for b in axis[: i + 1]])
+        optima, differences = [], []
+        for a, b in zip(eta0, eta1):
+            pair = ChannelPair(float(a), float(b))
+            x_star, _ = maximize_scalar(
+                lambda xs: _backward_first_step(pair, xs)[1], 0.0, 1.0, grid_points=65, tol=1e-6
+            )
+            value = backward_adaptive_psucc(pair, x_star)
+            forward = adaptive_forward_optimal(pair)
+            at_forward = backward_adaptive_psucc(pair, forward.params["x"])
+            optima.append((x_star, value))
+            differences.append(forward.psucc - max(value, at_forward))
+        return PairArrays.columns(eta0, eta1), optima, differences
+
+    def test_backward_optimum_equals_pointwise(self, backward_cells):
+        pairs, optima, _ = backward_cells
+        x_star, psucc = _backward_adaptive_optimal_batch(pairs)
+        assert list(zip(x_star, psucc)) == optima
+        assert backward_adaptive_optimal(pairs.channel_pairs()[-2]) == optima[-2]
+
+    def test_fwd_bwd_difference_equals_pointwise(self, backward_cells):
+        pairs, _, differences = backward_cells
+        assert list(_fwd_bwd_difference_batch(pairs)) == differences
+        assert fwd_bwd_difference(pairs.channel_pairs()[-2]) == differences[-2]
 
     def test_side_optimum_matches_pointwise(self):
         eta0, eta1 = self.ordered_grid()

@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from dampdisc import strategies, sweep
+from dampdisc.discrimination import Protocol
 from dampdisc.strategies import (
     ChannelPair,
     adaptive_forward_optimal,
@@ -23,6 +25,7 @@ from dampdisc.sweep import (
     POLAR_CURVE_ANGLES,
     PRESETS,
     STRATEGIES,
+    ConsistencyError,
     CurveFamily,
     SweepConfig,
     SweepGrid,
@@ -224,6 +227,38 @@ class TestRunSweep:
         assert format_csv(run_sweep(cfg)) == format_csv(run_sweep(cfg))
         assert format_json(run_sweep(cfg)) == format_json(run_sweep(cfg))
 
+    @pytest.mark.parametrize("fixed", [{}, {"x": 0.37}])
+    def test_backward_sweep_equals_its_point_queries(self, fixed):
+        grid = run_sweep(SweepConfig(strategy="backward", grid_n=3, fixed=fixed))
+        for i, e0 in enumerate(grid.eta0_values):
+            for j, e1 in enumerate(grid.eta1_values):
+                cfg = SweepConfig(strategy="backward", eta0=float(e0), eta1=float(e1), fixed=fixed)
+                assert grid.values[i, j] == run_point(cfg).value
+
+    @staticmethod
+    def inflate_last_cell(monkeypatch, module) -> None:
+        """Raise the forward optimum of the last cell only, as a broken forward search would."""
+        real = strategies._adaptive_forward_optimal_batch
+
+        def inflated(pairs):
+            x_star, psucc = real(pairs)
+            return x_star, np.append(psucc[:-1], psucc[-1] + 1e-3)
+
+        monkeypatch.setattr(module, "_adaptive_forward_optimal_batch", inflated)
+
+    @pytest.mark.parametrize(
+        "cfg", [SweepConfig(strategy="fwd-bwd-diff", grid_n=2), PRESETS["fig15"].config(grid_n=2)]
+    )
+    def test_fwd_bwd_sweep_checks_every_cell(self, monkeypatch, cfg):
+        self.inflate_last_cell(monkeypatch, strategies)
+        with pytest.raises(ConsistencyError, match="forward optimum exceeded the backward optimum"):
+            run_sweep(cfg)
+
+    def test_backward_sweep_checks_every_cell(self, monkeypatch):
+        self.inflate_last_cell(monkeypatch, sweep)
+        with pytest.raises(ConsistencyError, match="backward optimum fell below the forward optimum"):
+            run_sweep(SweepConfig(strategy="backward", grid_n=2))
+
     def test_metadata_records_strategy_and_version(self):
         grid = run_sweep(SweepConfig(strategy="sequential", grid_n=2, fixed={"x": 0.5}))
         assert grid.metadata["strategy"] == "sequential"
@@ -421,6 +456,16 @@ class TestRunMc:
         cfg = SweepConfig(strategy="adaptive", eta0=1.2, eta1=0.4, trials=20_000, seed=21)
         assert run_mc(cfg).estimate == run_mc(cfg).estimate
 
+    def test_certain_analytic_value_with_a_failed_trial_is_inconsistent(self, monkeypatch):
+        # a coin-flip tree that claims certain success: the binomial spread at
+        # p = 1 is 0, so any failed trial is infinitely many sigmas out
+        coin = Protocol("coin", (np.array([[0.5, 0.5], [0.5, 0.5]]),), np.array([0, 1]), 1.0)
+        monkeypatch.setattr(sweep, "build_protocol", lambda *args: coin)
+        report = run_mc(SweepConfig(strategy="one-shot", eta0=0.4, eta1=0.2, trials=20, seed=1))
+        assert report.estimate < 1.0
+        assert report.z == math.inf
+        assert not report.ok
+
     def test_requires_trials_and_simulable_strategy(self):
         with pytest.raises(ValueError, match="trials"):
             run_mc(SweepConfig(strategy="one-shot", eta0=0.4, eta1=0.2))
@@ -482,6 +527,17 @@ class TestCli:
         assert proc.returncode == 0
         assert "ok = yes" in proc.stdout
 
+    def test_mc_run_whose_trials_all_agree_is_consistent(self):
+        # analytic 0.999999894: two successes out of two is the likely result,
+        # though the sample stderr of such a run is 0
+        proc = run_cli(
+            "backward", "--eta0", "1.5707963267948966", "--eta1", "0.021435470808784194",
+            "--trials", "2",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "estimate = 1\nstderr = 0\n" in proc.stdout
+        assert "ok = yes" in proc.stdout
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"eta0": HALF_PI, "eta1": math.pi / 3, "fixed": {"x": 1.0}}))
@@ -537,6 +593,7 @@ class TestCli:
         [
             (("sequential", "--grid", "2", "--y", "0.3", "--format", "json"), "y"),
             (("adaptive-fb", "--grid", "2", "--x", "0.3"), "x"),
+            (("polar-curve", "--eta1", "0.5", "--grid", "3", "--x", "0.3"), "x"),
         ],
     )
     def test_sweep_with_a_parameter_the_strategy_ignores_is_usage_error(self, argv, key):
