@@ -17,6 +17,7 @@ from .discrimination import PriorPair, Protocol, helstrom, helstrom_psucc
 from .linalg import hermitian_eig, projector
 from .strategies import (
     ChannelPair,
+    _balanced_feedback_branches,
     adaptive_feedback_psucc,
     adaptive_forward_optimal,
     adaptive_forward_psucc,
@@ -134,18 +135,9 @@ def feedback_protocol(pair: ChannelPair, x: float, alpha: float) -> Protocol:
     """Environment measured in the tilted basis, then the conditional system state."""
     br0 = feedback_conditional_states(pair.channel0, x, alpha)
     br1 = feedback_conditional_states(pair.channel1, x, alpha)
-    env_table = np.array(
-        [
-            [br0.norm_plus**2, br0.norm_minus**2],
-            [br1.norm_plus**2, br1.norm_minus**2],
-        ]
-    )
-    branches = (
-        (br0.state_plus, br1.state_plus),
-        (br0.state_minus, br1.state_minus),
-    )
+    env_table = np.array([[p for _, p in br0], [p for _, p in br1]])
     system_table = np.empty((2, 2, 2))
-    for e, (s0, s1) in enumerate(branches):
+    for e, ((s0, _), (s1, _)) in enumerate(zip(br0, br1)):
         if s0 is None and s1 is None:
             system_table[0, e] = system_table[1, e] = UNREACHABLE_ROW
             continue
@@ -208,20 +200,8 @@ def adaptive_feedback_protocol(pair: ChannelPair) -> Protocol:
     environment of copy two, then the posterior-reweighted optimal
     measurement on the second conditional state.
     """
-    alpha = math.pi / 4
-    br0 = feedback_conditional_states(pair.channel0, 1.0, alpha)
-    br1 = feedback_conditional_states(pair.channel1, 1.0, alpha)
-    branches = (
-        (br0.state_plus, br0.norm_plus**2, br1.state_plus, br1.norm_plus**2),
-        (br0.state_minus, br0.norm_minus**2, br1.state_minus, br1.norm_minus**2),
-    )
-    for s0, _, s1, _ in branches:
-        if s0 is None or s1 is None:
-            raise ArithmeticError("conditional branch unexpectedly empty")
-
-    env1 = np.array(
-        [[branches[0][1], branches[1][1]], [branches[0][3], branches[1][3]]]
-    )
+    branches = _balanced_feedback_branches(pair)
+    env1 = np.array([[p0 for _, p0, _, _ in branches], [p1 for _, _, _, p1 in branches]])
     system1 = np.empty((2, 2, 2))
     bases = []
     for e1, (phi0, _, phi1, _) in enumerate(branches):
@@ -231,9 +211,8 @@ def adaptive_feedback_protocol(pair: ChannelPair) -> Protocol:
         for h, phi in ((0, phi0), (1, phi1)):
             system1[h, e1] = [abs(np.vdot(v, phi)) ** 2 for v in basis]
 
-    env2 = np.empty((2, 2, 2, 2))
-    env2[0, ..., 0], env2[0, ..., 1] = branches[0][1], branches[1][1]
-    env2[1, ..., 0], env2[1, ..., 1] = branches[0][3], branches[1][3]
+    # the second environment outcome e2 does not depend on (e1, k)
+    env2 = np.broadcast_to(env1[:, None, None, :], (2, 2, 2, 2)).copy()
 
     system2 = np.empty((2, 2, 2, 2, 2))
     for e1 in range(2):

@@ -14,7 +14,7 @@ need also run over many channel pairs at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,19 +46,21 @@ BACKWARD_T_GRID_POINTS = 4097
 # probe weights scanned before the golden refinement of the backward optimum
 BACKWARD_X_GRID_POINTS = 65
 BACKWARD_X_TOL = 1e-6
+# coordinate ascent of feedback_optimal_numeric: rounds, and grid points per scan
+FEEDBACK_ASCENT_ROUNDS = 3
+FEEDBACK_GRID_POINTS = 129
 
 
 @dataclass(frozen=True)
 class ChannelPair:
     """Two damping angles, stronger damping first.
 
-    The constructor swaps the angles if given in increasing order and records
-    the swap, so every downstream formula can assume eta0 >= eta1.
+    The constructor swaps the angles if given in increasing order, so every
+    downstream formula can assume eta0 >= eta1.
     """
 
     eta0: float
     eta1: float
-    swapped: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         for name, value in (("eta0", self.eta0), ("eta1", self.eta1)):
@@ -68,7 +70,6 @@ class ChannelPair:
             hi, lo = self.eta1, self.eta0
             object.__setattr__(self, "eta0", hi)
             object.__setattr__(self, "eta1", lo)
-            object.__setattr__(self, "swapped", True)
 
     @property
     def gamma(self) -> float:
@@ -141,20 +142,6 @@ class FeedbackTerms:
         for name, v in (("chi", self.chi), ("c0", self.c0), ("c1", self.c1)):
             if not -WEIGHT_SLACK <= v <= 1.0 + WEIGHT_SLACK:
                 raise ValueError(f"{name} must be a probability, got {v}")
-
-
-@dataclass(frozen=True)
-class ConditionalBranches:
-    """System states conditioned on the environment outcome.
-
-    ``norm_*`` are amplitude norms: their squares are the outcome
-    probabilities.  A state is None when its outcome has probability zero.
-    """
-
-    state_plus: np.ndarray | None
-    norm_plus: float
-    state_minus: np.ndarray | None
-    norm_minus: float
 
 
 @dataclass(frozen=True)
@@ -237,22 +224,23 @@ def one_shot_optimal_numeric(pair: ChannelPair) -> tuple[float, float]:
     return maximize_scalar(lambda xs: one_shot_psucc(pair, xs), 0.0, 1.0)
 
 
+def polar_radius(eta1: float, x: float) -> float:
+    """Trace norm of (ground-state projector minus the damped probe of excited weight x)."""
+    ground = np.diag([1.0, 0.0]).astype(complex)
+    return trace_norm(ground - DampingChannel(eta1).output_state(InputState(x)))
+
+
 def damping_polar_curve(eta1: float, n_points: int) -> list[PolarCurvePoint]:
     """Separation of the damped probe from the ground state, on a theta grid.
 
-    theta parametrizes the probe via x = sin(theta)^2; the radius is the trace
-    norm of (ground-state projector minus damped output).
+    theta parametrizes the probe via x = sin(theta)^2; the radius is polar_radius.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
-    ch = DampingChannel(eta1)
-    ground = np.diag([1.0, 0.0]).astype(complex)
-    points = []
-    for theta in np.linspace(0.0, math.pi / 2, n_points):
-        x = math.sin(theta) ** 2
-        radius = trace_norm(ground - ch.output_state(InputState(x)))
-        points.append(PolarCurvePoint(theta=float(theta), radius=radius))
-    return points
+    return [
+        PolarCurvePoint(theta=float(theta), radius=polar_radius(eta1, math.sin(theta) ** 2))
+        for theta in np.linspace(0.0, math.pi / 2, n_points)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +297,13 @@ def _side_ent_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
 # single use, environment feedback
 
 
-def feedback_conditional_states(ch: DampingChannel, x: float, alpha: float) -> ConditionalBranches:
+def feedback_conditional_states(ch: DampingChannel, x: float, alpha: float) -> tuple[tuple, tuple]:
     """Project the dilation output on an environment basis tilted by alpha.
 
-    The basis is (cos a, sin a) / (-sin a, cos a).  Returned norms are the
-    amplitude norms of the unnormalized projected states; a branch whose
-    squared norm is below tolerance carries no state.
+    The basis is (cos a, sin a) / (-sin a, cos a).  Returns one branch per
+    basis vector, (state, probability): the normalized conditional system
+    state and the outcome probability.  A branch whose probability is below
+    tolerance carries no state (None).
     """
     if not 0.0 <= alpha <= math.pi / 2:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha}")
@@ -323,23 +312,13 @@ def feedback_conditional_states(ch: DampingChannel, x: float, alpha: float) -> C
     env0 = joint[0::2]  # system amplitudes with environment in |0>
     env1 = joint[1::2]
     ca, sa = math.cos(alpha), math.sin(alpha)
-    raw_plus = ca * env0 + sa * env1
-    raw_minus = -sa * env0 + ca * env1
 
-    def normalize(raw: np.ndarray) -> tuple[np.ndarray | None, float]:
+    def branch(raw: np.ndarray) -> tuple[np.ndarray | None, float]:
         norm = float(np.linalg.norm(raw))
-        if norm * norm < ZERO_BRANCH_TOL:
-            return None, norm
-        return raw / norm, norm
+        probability = norm * norm
+        return (None if probability < ZERO_BRANCH_TOL else raw / norm), probability
 
-    state_plus, norm_plus = normalize(raw_plus)
-    state_minus, norm_minus = normalize(raw_minus)
-    return ConditionalBranches(
-        state_plus=state_plus,
-        norm_plus=norm_plus,
-        state_minus=state_minus,
-        norm_minus=norm_minus,
-    )
+    return branch(ca * env0 + sa * env1), branch(-sa * env0 + ca * env1)
 
 
 def feedback_psucc(pair: ChannelPair, x: float, alpha: float) -> float:
@@ -350,14 +329,12 @@ def feedback_psucc(pair: ChannelPair, x: float, alpha: float) -> float:
     probability zero contribute nothing, and an outcome reachable under only
     one hypothesis identifies the channel outright.
     """
-    br0 = feedback_conditional_states(pair.channel0, x, alpha)
-    br1 = feedback_conditional_states(pair.channel1, x, alpha)
     total = 0.0
-    for s0, n0, s1, n1 in (
-        (br0.state_plus, br0.norm_plus, br1.state_plus, br1.norm_plus),
-        (br0.state_minus, br0.norm_minus, br1.state_minus, br1.norm_minus),
+    for (s0, p0), (s1, p1) in zip(
+        feedback_conditional_states(pair.channel0, x, alpha),
+        feedback_conditional_states(pair.channel1, x, alpha),
     ):
-        weight = 0.5 * (n0 * n0 + n1 * n1)
+        weight = 0.5 * (p0 + p1)
         if weight <= ZERO_BRANCH_TOL:
             continue
         if s0 is None or s1 is None:
@@ -438,9 +415,7 @@ def feedback_optimal(pair: ChannelPair) -> StrategyResult:
     return StrategyResult(psucc=psucc, params={"x": 1.0, "alpha": math.pi / 4})
 
 
-def feedback_optimal_numeric(
-    pair: ChannelPair, grid_points: int = 129, rounds: int = 3
-) -> tuple[float, float, float]:
+def feedback_optimal_numeric(pair: ChannelPair) -> tuple[float, float, float]:
     """Coordinate-ascent maximization over (x, alpha); returns (x, alpha, value).
 
     Seeded by a coarse joint grid; equivalent mirrored maxima in alpha resolve
@@ -452,12 +427,12 @@ def feedback_optimal_numeric(
     i, j = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
     best_x, best_alpha = float(xs[i]), float(als[j])
     best_val = float(coarse[i, j])
-    for _ in range(rounds):
+    for _ in range(FEEDBACK_ASCENT_ROUNDS):
         x_new, val = maximize_scalar(
             lambda t: _feedback_values_batch(pair, t, best_alpha),
             0.0,
             1.0,
-            grid_points=grid_points,
+            grid_points=FEEDBACK_GRID_POINTS,
         )
         if val > best_val:
             best_x, best_val = x_new, val
@@ -465,7 +440,7 @@ def feedback_optimal_numeric(
             lambda t: _feedback_values_batch(pair, best_x, t),
             0.0,
             math.pi / 2,
-            grid_points=grid_points,
+            grid_points=FEEDBACK_GRID_POINTS,
         )
         if val > best_val:
             best_alpha, best_val = alpha_new, val
@@ -649,24 +624,31 @@ def _adaptive_forward_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.n
 # two uses, individual measurements, environment feedback on each copy
 
 
+def _balanced_feedback_branches(pair: ChannelPair) -> list[tuple]:
+    """(state0, p0, state1, p1) per environment outcome at the feedback optimum.
+
+    Probe fully excited, environment basis balanced; both outcomes are
+    reachable under both hypotheses there.
+    """
+    branches = [
+        (s0, p0, s1, p1)
+        for (s0, p0), (s1, p1) in zip(
+            feedback_conditional_states(pair.channel0, 1.0, math.pi / 4),
+            feedback_conditional_states(pair.channel1, 1.0, math.pi / 4),
+        )
+    ]
+    if any(s0 is None or s1 is None for s0, _, s1, _ in branches):
+        raise ArithmeticError("conditional branch unexpectedly empty")
+    return branches
+
+
 def adaptive_feedback_psucc(pair: ChannelPair) -> float:
     """Two copies, each with environment feedback, outcome-reweighted second step.
 
     Probe fixed fully excited and environment basis balanced (the single-copy
     feedback optimum); every stage then deals in pure conditional states.
     """
-    alpha = math.pi / 4
-    br0 = feedback_conditional_states(pair.channel0, 1.0, alpha)
-    br1 = feedback_conditional_states(pair.channel1, 1.0, alpha)
-    branches = []
-    for s0, n0, s1, n1 in (
-        (br0.state_plus, br0.norm_plus, br1.state_plus, br1.norm_plus),
-        (br0.state_minus, br0.norm_minus, br1.state_minus, br1.norm_minus),
-    ):
-        if s0 is None or s1 is None:
-            raise ArithmeticError("conditional branch unexpectedly empty")
-        branches.append((s0, n0 * n0, s1, n1 * n1))
-
+    branches = _balanced_feedback_branches(pair)
     total = 0.0
     for phi0_first, w0_first, phi1_first, w1_first in branches:
         dec = hermitian_eig(projector(phi0_first) - projector(phi1_first))

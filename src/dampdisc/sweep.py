@@ -17,9 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .channel import DampingChannel, InputState
 from .discrimination import monte_carlo_psucc
-from .linalg import trace_norm
 from .protocols import MC_STRATEGIES, build_protocol
 from .strategies import (
     ChannelPair,
@@ -38,6 +36,7 @@ from .strategies import (
     one_shot_optimal_numeric,
     one_shot_psucc,
     one_shot_psucc_numeric,
+    polar_radius,
     sequential_effective_pair,
     sequential_two_shot_optimal,
     sequential_two_shot_psucc,
@@ -200,40 +199,34 @@ class PointReport:
         return out
 
 
+GRID_AXES = ("eta0", "eta1")
+POLAR_AXES = ("eta1", "theta")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
-    eta0_values: np.ndarray
-    eta1_values: np.ndarray
+    """Every dataset: ``values[i, j]`` at (``row_values[i]``, ``col_values[j]``).
+
+    ``axes`` names the row and column coordinates: GRID_AXES for strategy
+    and preset grids, POLAR_AXES for the polar family (one row per channel
+    angle, columns over theta).
+    """
+
+    axes: tuple
+    row_values: np.ndarray
+    col_values: np.ndarray
     values: np.ndarray
     metadata: dict
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.eta0_values), len(self.eta1_values)):
+        if values.shape != (len(self.row_values), len(self.col_values)):
             raise ValueError(
                 f"values shape {values.shape} inconsistent with axes "
-                f"({len(self.eta0_values)}, {len(self.eta1_values)})"
+                f"({len(self.row_values)}, {len(self.col_values)})"
             )
         if not np.isfinite(values).all():
             raise ValueError("sweep produced non-finite values")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class CurveFamily:
-    """Polar-curve dataset: one row per channel angle, columns over theta."""
-
-    eta1_values: np.ndarray
-    theta_values: np.ndarray
-    values: np.ndarray
-    metadata: dict
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.eta1_values), len(self.theta_values)):
-            raise ValueError("curve values inconsistent with axes")
-        if not np.isfinite(values).all():
-            raise ValueError("curve produced non-finite values")
         object.__setattr__(self, "values", values)
 
 
@@ -351,18 +344,23 @@ def _point_feedback(pair: ChannelPair, fixed: dict) -> PointReport:
 def _point_two_shot_entangled(pair: ChannelPair, fixed: dict) -> PointReport:
     variant = fixed.get("variant", "odd")
     x = fixed.get("x")
-    if x is None:
-        res = two_shot_entangled_optimal(pair, variant)
-        x, value = res.params["x"], res.psucc
-    else:
+    if x is not None:
         value = two_shot_entangled_psucc(pair, variant, x)
+        _check_close(
+            "two-shot entangled scalar vs batched",
+            value,
+            float(_two_shot_ent_values_batch(pair, variant, np.asarray(x))),
+            IDENTITY_CHECK_TOL,
+        )
+        return PointReport("two-shot-entangled", value, "psucc", {"x": x})
+    res = two_shot_entangled_optimal(pair, variant)
     _check_close(
-        "two-shot entangled scalar vs batched",
-        value,
-        float(_two_shot_ent_values_batch(pair, variant, np.asarray(x))),
+        "two-shot entangled optimum vs scalar at argmax",
+        res.psucc,
+        two_shot_entangled_psucc(pair, variant, res.params["x"]),
         IDENTITY_CHECK_TOL,
     )
-    return PointReport("two-shot-entangled", value, "psucc", {"x": x})
+    return PointReport("two-shot-entangled", res.psucc, "psucc", res.params)
 
 
 def _point_two_shot_product(pair: ChannelPair, fixed: dict) -> PointReport:
@@ -488,8 +486,7 @@ def run_point(cfg: SweepConfig) -> PointReport:
             raise ValueError("polar-curve needs --eta1")
         x = cfg.fixed.get("x", 1.0)
         theta = math.asin(math.sqrt(x))
-        ground = np.diag([1.0, 0.0]).astype(complex)
-        radius = trace_norm(ground - DampingChannel(cfg.eta1).output_state(InputState(x)))
+        radius = polar_radius(cfg.eta1, x)
         _check_close(
             "polar radius numeric vs closed",
             radius,
@@ -670,28 +667,21 @@ def _metadata(cfg: SweepConfig) -> dict:
     return meta
 
 
-def _polar_family(cfg: SweepConfig) -> CurveFamily:
+def _polar_family(cfg: SweepConfig) -> SweepGrid:
     if cfg.preset == "fig2new":
         angles = POLAR_CURVE_ANGLES
     else:
         if cfg.eta1 is None:
             raise ValueError("polar-curve sweep needs --eta1")
         angles = (cfg.eta1,)
+    values = [[p.radius for p in damping_polar_curve(eta1, cfg.grid_n)] for eta1 in angles]
     thetas = np.linspace(0.0, HALF_PI, cfg.grid_n)
-    values = np.empty((len(angles), cfg.grid_n))
-    for i, eta1 in enumerate(angles):
-        values[i] = [p.radius for p in damping_polar_curve(eta1, cfg.grid_n)]
     meta = _metadata(cfg)
     meta["theta_points"] = cfg.grid_n
-    return CurveFamily(
-        eta1_values=np.asarray(angles, dtype=float),
-        theta_values=thetas,
-        values=values,
-        metadata=meta,
-    )
+    return SweepGrid(POLAR_AXES, np.asarray(angles, dtype=float), thetas, values, meta)
 
 
-def run_sweep(cfg: SweepConfig) -> "SweepGrid | CurveFamily":
+def run_sweep(cfg: SweepConfig) -> SweepGrid:
     """Evaluate the configured quantity on the (eta0, eta1) grid.
 
     Every cell depends only on its channel pair, which is ordered (stronger
@@ -717,9 +707,7 @@ def run_sweep(cfg: SweepConfig) -> "SweepGrid | CurveFamily":
     e0, e1 = np.meshgrid(eta0s, eta1s, indexing="ij")
     flat = cell(np.maximum(e0, e1).ravel(), np.minimum(e0, e1).ravel())
     values = np.asarray(flat, dtype=float).reshape(cfg.grid_n, cfg.grid_n)
-    return SweepGrid(
-        eta0_values=eta0s, eta1_values=eta1s, values=values, metadata=_metadata(cfg)
-    )
+    return SweepGrid(GRID_AXES, eta0s, eta1s, values, _metadata(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -762,57 +750,34 @@ def run_mc(cfg: SweepConfig) -> McReport:
 # serialization
 
 
-def format_csv(grid: "SweepGrid | CurveFamily") -> str:
-    lines = []
-    if isinstance(grid, CurveFamily):
-        lines.append("eta1,theta,value")
-        for i, eta1 in enumerate(grid.eta1_values):
-            for j, theta in enumerate(grid.theta_values):
-                lines.append(f"{eta1:.12g},{theta:.12g},{grid.values[i, j]:.12g}")
-    else:
-        lines.append("eta0,eta1,value")
-        for i, eta0 in enumerate(grid.eta0_values):
-            for j, eta1 in enumerate(grid.eta1_values):
-                lines.append(f"{eta0:.12g},{eta1:.12g},{grid.values[i, j]:.12g}")
+def format_csv(grid: SweepGrid) -> str:
+    lines = [f"{grid.axes[0]},{grid.axes[1]},value"]
+    for i, row in enumerate(grid.row_values):
+        for j, col in enumerate(grid.col_values):
+            lines.append(f"{row:.12g},{col:.12g},{grid.values[i, j]:.12g}")
     return "\n".join(lines) + "\n"
 
 
-def format_json(grid: "SweepGrid | CurveFamily") -> str:
-    if isinstance(grid, CurveFamily):
-        payload = {
-            "metadata": grid.metadata,
-            "eta1_values": [float(v) for v in grid.eta1_values],
-            "theta_values": [float(v) for v in grid.theta_values],
-            "values": [float(v) for v in grid.values.ravel()],
-        }
-    else:
-        payload = {
-            "metadata": grid.metadata,
-            "eta0_values": [float(v) for v in grid.eta0_values],
-            "eta1_values": [float(v) for v in grid.eta1_values],
-            "values": [float(v) for v in grid.values.ravel()],
-        }
+def format_json(grid: SweepGrid) -> str:
+    row_axis, col_axis = grid.axes
+    payload = {
+        "metadata": grid.metadata,
+        f"{row_axis}_values": [float(v) for v in grid.row_values],
+        f"{col_axis}_values": [float(v) for v in grid.col_values],
+        "values": [float(v) for v in grid.values.ravel()],
+    }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def grid_from_json(text: str) -> "SweepGrid | CurveFamily":
+def grid_from_json(text: str) -> SweepGrid:
     payload = json.loads(text)
-    if "theta_values" in payload:
-        eta1 = np.asarray(payload["eta1_values"], dtype=float)
-        theta = np.asarray(payload["theta_values"], dtype=float)
-        values = np.asarray(payload["values"], dtype=float).reshape(len(eta1), len(theta))
-        return CurveFamily(
-            eta1_values=eta1, theta_values=theta, values=values, metadata=payload["metadata"]
-        )
-    eta0 = np.asarray(payload["eta0_values"], dtype=float)
-    eta1 = np.asarray(payload["eta1_values"], dtype=float)
-    values = np.asarray(payload["values"], dtype=float).reshape(len(eta0), len(eta1))
-    return SweepGrid(
-        eta0_values=eta0, eta1_values=eta1, values=values, metadata=payload["metadata"]
-    )
+    axes = POLAR_AXES if "theta_values" in payload else GRID_AXES
+    rows, cols = (np.asarray(payload[f"{axis}_values"], dtype=float) for axis in axes)
+    values = np.asarray(payload["values"], dtype=float).reshape(len(rows), len(cols))
+    return SweepGrid(axes, rows, cols, values, payload["metadata"])
 
 
-def emit(grid: "SweepGrid | CurveFamily", fmt: str = "csv", path: str | None = None) -> str:
+def emit(grid: SweepGrid, fmt: str = "csv", path: str | None = None) -> str:
     """Render the dataset; write it (LF endings) when a path is given."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")

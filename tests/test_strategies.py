@@ -84,11 +84,10 @@ class TestChannelPair:
     def test_orders_angles(self):
         pair = ChannelPair(0.3, 1.2)
         assert pair.eta0 == 1.2 and pair.eta1 == 0.3
-        assert pair.swapped
 
     def test_keeps_ordered_angles(self):
         pair = ChannelPair(1.2, 0.3)
-        assert not pair.swapped
+        assert pair.eta0 == 1.2 and pair.eta1 == 0.3
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -304,10 +303,10 @@ class TestFeedback:
         pair = ChannelPair(1.2, 0.7)
         x, alpha = 0.6, 0.5
         t = feedback_terms(pair, x, alpha)
-        # outcome likelihoods from the conditional branch norms
+        # outcome likelihoods from the conditional branches
         for channel, c in ((pair.channel0, t.c0), (pair.channel1, t.c1)):
-            br = feedback_conditional_states(channel, x, alpha)
-            assert br.norm_minus**2 == pytest.approx(c, abs=1e-12)
+            _, (_, p_minus) = feedback_conditional_states(channel, x, alpha)
+            assert p_minus == pytest.approx(c, abs=1e-12)
         assert t.chi == pytest.approx(0.5 * (t.c0 + t.c1), abs=1e-12)
 
     def test_impossible_outcome_identifies_channel(self):
@@ -315,8 +314,8 @@ class TestFeedback:
         # excited for sure; the untilted basis then sees a zero-probability
         # branch for one channel only
         pair = ChannelPair(HALF_PI, math.pi / 3)
-        br0 = feedback_conditional_states(pair.channel0, 1.0, 0.0)
-        assert br0.state_plus is None and br0.norm_plus == pytest.approx(0.0, abs=1e-12)
+        (state_plus, p_plus), _ = feedback_conditional_states(pair.channel0, 1.0, 0.0)
+        assert state_plus is None and p_plus == pytest.approx(0.0, abs=1e-24)
         val = feedback_psucc(pair, 1.0, 0.0)
         assert 0.5 - 1e-12 <= val <= 1.0 + 1e-12
         assert float(_feedback_values_batch(pair, 1.0, 0.0)) == pytest.approx(val, abs=1e-12)

@@ -22,11 +22,12 @@ from dampdisc.strategies import (
     two_shot_product_optimal,
 )
 from dampdisc.sweep import (
+    GRID_AXES,
+    POLAR_AXES,
     POLAR_CURVE_ANGLES,
     PRESETS,
     STRATEGIES,
     ConsistencyError,
-    CurveFamily,
     SweepConfig,
     SweepGrid,
     emit,
@@ -182,6 +183,22 @@ class TestRunPoint:
         assert report.label == "difference"
         assert report.value <= 1e-9
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: run_point(SweepConfig(strategy="two-shot-entangled", eta0=1.2, eta1=0.4)),
+            lambda: run_sweep(SweepConfig(strategy="two-shot-entangled", grid_n=2)),
+        ],
+        ids=["point", "sweep"],
+    )
+    def test_entangled_optimum_is_checked_against_the_construction(self, monkeypatch, evaluate):
+        # a Kraus construction that disagrees with the batched optimizer must
+        # be caught when x is omitted, not only at a fixed x
+        real = sweep.two_shot_entangled_psucc
+        monkeypatch.setattr(sweep, "two_shot_entangled_psucc", lambda *args: real(*args) + 0.01)
+        with pytest.raises(ConsistencyError, match="two-shot entangled optimum"):
+            evaluate()
+
     def test_product_point_reports_measurement_locality(self):
         report = run_point(SweepConfig(strategy="two-shot-product", eta0=0.9, eta1=0.3))
         lines = report.lines()
@@ -204,9 +221,10 @@ class TestRunSweep:
     def test_axes_are_inclusive_linspace(self):
         cfg = SweepConfig(strategy="one-shot", grid_n=3, eta0_range=(0.2, 0.8), eta1_range=(0.1, 0.3))
         grid = run_sweep(cfg)
-        assert grid.eta0_values[0] == pytest.approx(0.2)
-        assert grid.eta0_values[-1] == pytest.approx(0.8)
-        assert grid.eta1_values[-1] == pytest.approx(0.3)
+        assert grid.axes == GRID_AXES
+        assert grid.row_values[0] == pytest.approx(0.2)
+        assert grid.row_values[-1] == pytest.approx(0.8)
+        assert grid.col_values[-1] == pytest.approx(0.3)
 
     def test_fixed_parameters_respected(self):
         cfg = SweepConfig(
@@ -217,8 +235,8 @@ class TestRunSweep:
             fixed={"x": 1.0},
         )
         grid = run_sweep(cfg)
-        for i, e0 in enumerate(grid.eta0_values):
-            for j, e1 in enumerate(grid.eta1_values):
+        for i, e0 in enumerate(grid.row_values):
+            for j, e1 in enumerate(grid.col_values):
                 expected = one_shot_psucc(ChannelPair(float(e0), float(e1)), 1.0)
                 assert grid.values[i, j] == pytest.approx(expected, abs=1e-12)
 
@@ -230,8 +248,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("fixed", [{}, {"x": 0.37}])
     def test_backward_sweep_equals_its_point_queries(self, fixed):
         grid = run_sweep(SweepConfig(strategy="backward", grid_n=3, fixed=fixed))
-        for i, e0 in enumerate(grid.eta0_values):
-            for j, e1 in enumerate(grid.eta1_values):
+        for i, e0 in enumerate(grid.row_values):
+            for j, e1 in enumerate(grid.col_values):
                 cfg = SweepConfig(strategy="backward", eta0=float(e0), eta1=float(e1), fixed=fixed)
                 assert grid.values[i, j] == run_point(cfg).value
 
@@ -291,8 +309,8 @@ class TestPresets:
         assert grid.values.max() <= 1.0 + 1e-12
         # interior optima (x* < 1) appear even at gamma ~ 1.3 for lopsided
         # pairs, so only the strongly damping region is pinned to x* = 1
-        for i, e0 in enumerate(grid.eta0_values):
-            for j, e1 in enumerate(grid.eta1_values):
+        for i, e0 in enumerate(grid.row_values):
+            for j, e1 in enumerate(grid.col_values):
                 gamma = math.cos(float(e0)) + math.cos(float(e1))
                 if gamma >= 1.5:
                     assert grid.values[i, j] == pytest.approx(1.0, abs=1e-9)
@@ -313,8 +331,8 @@ class TestPresets:
 
     def test_reference_weight_zero_iff_strong_damping(self):
         grid = run_sweep(PRESETS["fig4"].config(grid_n=5))
-        for i, e0 in enumerate(grid.eta0_values):
-            for j, e1 in enumerate(grid.eta1_values):
+        for i, e0 in enumerate(grid.row_values):
+            for j, e1 in enumerate(grid.col_values):
                 gamma = math.cos(float(e0)) + math.cos(float(e1))
                 if gamma >= 1.0:
                     assert grid.values[i, j] == 0.0
@@ -334,8 +352,8 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(BATCHED_PRESET_DEFINITIONS))
     def test_batched_preset_matches_its_per_pair_definition(self, name):
         grid = run_sweep(PRESETS[name].config(grid_n=7))
-        for i, e0 in enumerate(grid.eta0_values):
-            for j, e1 in enumerate(grid.eta1_values):
+        for i, e0 in enumerate(grid.row_values):
+            for j, e1 in enumerate(grid.col_values):
                 expected = BATCHED_PRESET_DEFINITIONS[name](ChannelPair(float(e0), float(e1)))
                 assert abs(grid.values[i, j] - expected) <= 1e-12
 
@@ -345,12 +363,12 @@ class TestPresets:
 
     def test_polar_preset_family(self):
         family = run_sweep(PRESETS["fig2new"].config(grid_n=7))
-        assert isinstance(family, CurveFamily)
-        assert tuple(family.eta1_values) == POLAR_CURVE_ANGLES
-        assert family.theta_values[0] == 0.0
-        assert family.theta_values[-1] == pytest.approx(HALF_PI)
+        assert family.axes == POLAR_AXES
+        assert tuple(family.row_values) == POLAR_CURVE_ANGLES
+        assert family.col_values[0] == 0.0
+        assert family.col_values[-1] == pytest.approx(HALF_PI)
         # theta = pi/2 sends the probe weight to 1: radius = 2 cos^2(eta1)
-        for row, eta1 in zip(family.values, family.eta1_values):
+        for row, eta1 in zip(family.values, family.row_values):
             assert row[0] == pytest.approx(0.0, abs=1e-12)
             assert row[-1] == pytest.approx(2.0 * math.cos(eta1) ** 2, abs=1e-9)
 
@@ -389,7 +407,7 @@ class TestEmit:
         grid = run_sweep(SweepConfig(strategy="adaptive", grid_n=3))
         back = grid_from_json(format_json(grid))
         assert np.array_equal(back.values, grid.values)
-        assert np.array_equal(back.eta0_values, grid.eta0_values)
+        assert np.array_equal(back.row_values, grid.row_values)
         assert back.metadata == grid.metadata
         assert format_json(back) == format_json(grid)
 
@@ -400,10 +418,16 @@ class TestEmit:
         assert len(text.splitlines()) == 1 + 3 * 3
 
     def test_curve_json_round_trip(self):
+        # the polar family and a strategy grid: the axes survive the trip and
+        # re-emitting the parsed dataset reproduces both formats byte for byte
         family = run_sweep(PRESETS["fig2new"].config(grid_n=4))
-        back = grid_from_json(format_json(family))
-        assert isinstance(back, CurveFamily)
-        assert np.array_equal(back.values, family.values)
+        grid = run_sweep(SweepConfig(strategy="feedback", grid_n=3))
+        for original, axes in ((family, POLAR_AXES), (grid, GRID_AXES)):
+            back = grid_from_json(format_json(original))
+            assert back.axes == original.axes == axes
+            assert np.array_equal(back.values, original.values)
+            assert format_json(back) == format_json(original)
+            assert format_csv(back) == format_csv(original)
 
     def test_emit_writes_lf_only(self, tmp_path):
         path = tmp_path / "grid.csv"
