@@ -6,12 +6,16 @@ cells at once) and a deterministic Monte Carlo engine for finite measurement
 trees.  All optimizers are grid + golden-section: the objectives downstream
 involve trace norms, which are only piecewise smooth (kinks at eigenvalue
 crossings), so derivative-based methods are the wrong tool.
+
+The engine draws the counts of each tree node's children from one
+multinomial, which is the distribution that simulating every trial on its own
+gives, so its cost depends on the size of the tree and not on the number of
+trials.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,14 +36,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # with the whole 625-cell grid in one call
 CELL_CHUNK = 8
 
-# one Monte Carlo chunk; chunk index seeds the generator, so the estimate is a
-# pure function of (seed, trials) no matter how chunks are spread over workers
-MC_CHUNK = 65536
-# trials per pass inside a chunk.  glibc's malloc reuses heap memory for the
-# arrays of a pass (at most 8192 x 5 doubles, 320 KiB); whole-chunk arrays (up
-# to 2.6 MB) were mapped and zeroed afresh for every chunk, which cost 2^20
-# trials of `adaptive` 26112 page faults on Linux, against 1024 in passes
-MC_BLOCK = 8192
+# numpy draws counts as int64
+MAX_TRIALS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -324,46 +322,35 @@ class MonteCarloEstimate:
     n_correct: int
 
 
-def _run_chunk(protocol: Protocol, n: int, seed: int, chunk_index: int) -> int:
-    rng = np.random.default_rng([seed, chunk_index])
-    n_correct = 0
-    for start in range(0, n, MC_BLOCK):
-        # the generator continues its stream, so the blocks draw the same
-        # numbers as one (n, stages + 1) call would
-        u = rng.random((min(MC_BLOCK, n - start), protocol.n_stages + 1))
-        h = (u[:, 0] >= 0.5).astype(np.int64)
-        outcomes: list[np.ndarray] = []
-        for s, table in enumerate(protocol.stage_tables):
-            probs = table[(h, *outcomes)]
-            edges = np.cumsum(probs, axis=1)
-            k = (edges < u[:, s + 1, None]).sum(axis=1)
-            outcomes.append(np.minimum(k, table.shape[-1] - 1))
-        guesses = protocol.decisions[tuple(outcomes)]
-        n_correct += int((guesses == h).sum())
-    return n_correct
-
-
 def monte_carlo_psucc(
     protocol: Protocol, trials: int, seed: int, workers: int = 1
 ) -> MonteCarloEstimate:
     """Estimate the success probability by simulating the measurement tree.
 
-    Trials are processed in fixed-size chunks, each seeded by (seed, chunk
-    index), so the estimate depends only on (seed, trials) and not on how
-    chunks are distributed over workers.
+    Given how many trials reach a node of the tree, the counts of its
+    children are multinomial, so each hypothesis draws one multinomial per
+    stage over all histories at once.  ``n_correct`` then has the
+    distribution that ``trials`` independent runs of the tree give, at a cost
+    that does not grow with ``trials``.  The estimate is a pure function of
+    (seed, trials).  ``workers`` selects nothing; it stays so that callers
+    that pass it keep running.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    sizes = [MC_CHUNK] * (trials // MC_CHUNK)
-    if trials % MC_CHUNK:
-        sizes.append(trials % MC_CHUNK)
-    jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda job: _run_chunk(protocol, job[1], seed, job[0]), jobs))
-    else:
-        counts = [_run_chunk(protocol, size, seed, i) for i, size in jobs]
-    n_correct = int(sum(counts))
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    # validation lets rows sum to within OUTCOME_PROB_TOL of 1 and hold
+    # entries down to -1e-12, both of which multinomial rejects
+    tables = []
+    for table in protocol.stage_tables:
+        rows = np.clip(table, 0.0, None)
+        tables.append(rows / rows.sum(axis=-1, keepdims=True))
+    rng = np.random.default_rng(seed)
+    n1 = int(rng.binomial(trials, 0.5))
+    n_correct = 0
+    for h, n in ((0, trials - n1), (1, n1)):
+        counts = n
+        for rows in tables:
+            counts = rng.multinomial(counts, rows[h])
+        n_correct += int(counts[protocol.decisions == h].sum())
     estimate = n_correct / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return MonteCarloEstimate(estimate=estimate, stderr=stderr, trials=trials, n_correct=n_correct)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .discrimination import monte_carlo_psucc
+from .discrimination import MAX_TRIALS, monte_carlo_psucc
 from .protocols import MC_STRATEGIES, build_protocol
 from .strategies import (
     ChannelPair,
@@ -156,8 +156,8 @@ class SweepConfig:
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.trials is not None and (not _is_int(self.trials) or self.trials < 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if self.trials is not None and (not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS):
+            raise ValueError(f"trials must be an integer in [1, 2**63 - 1], got {self.trials!r}")
         if not isinstance(self.fixed, dict):
             raise ValueError(f"fixed must be a mapping of parameters, got {self.fixed!r}")
         for key in self.fixed:
@@ -686,10 +686,13 @@ def run_sweep(cfg: SweepConfig) -> SweepGrid:
 
     Every cell depends only on its channel pair, which is ordered (stronger
     damping first) before the grid function sees it.  A fixed parameter the
-    strategy does not take is rejected, so the metadata records only inputs
-    that shaped the values.
+    strategy does not take, or a range flag on a polar curve, is rejected, so
+    the metadata records only inputs that shaped the values.
     """
     ignored = sorted(set(cfg.fixed) - set(STRATEGY_PARAMS[cfg.strategy]))
+    if cfg.strategy == "polar-curve":
+        # the curve runs over theta, not over a grid of channel pairs
+        ignored += [name for name in ("eta0_range", "eta1_range") if getattr(cfg, name) != (0.0, HALF_PI)]
     if ignored:
         raise ValueError(f"strategy {cfg.strategy} takes no parameter {', '.join(ignored)}")
     if cfg.strategy == "polar-curve":

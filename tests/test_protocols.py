@@ -112,12 +112,6 @@ class TestMonteCarlo:
         b = monte_carlo_psucc(proto, trials=30_000, seed=5)
         assert a.estimate == b.estimate and a.n_correct == b.n_correct
 
-    def test_worker_count_does_not_change_estimate(self):
-        proto = build_protocol("feedback", ChannelPair(1.0, 0.2))
-        serial = monte_carlo_psucc(proto, trials=200_000, seed=12, workers=1)
-        threaded = monte_carlo_psucc(proto, trials=200_000, seed=12, workers=4)
-        assert serial.estimate == threaded.estimate
-
     def test_sampling_respects_decision_table(self):
         # the same draws scored with every guess flipped succeed exactly
         # where the original guesses fail

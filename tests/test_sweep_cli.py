@@ -618,6 +618,11 @@ class TestCli:
             (("sequential", "--grid", "2", "--y", "0.3", "--format", "json"), "y"),
             (("adaptive-fb", "--grid", "2", "--x", "0.3"), "x"),
             (("polar-curve", "--eta1", "0.5", "--grid", "3", "--x", "0.3"), "x"),
+            (
+                ("polar-curve", "--eta1", "0.4", "--grid", "2", "--eta0-range", "0.1", "0.2", "--format", "json"),
+                "eta0_range",
+            ),
+            (("polar-curve", "--eta1", "0.4", "--grid", "2", "--eta1-range", "0", "1"), "eta1_range"),
         ],
     )
     def test_sweep_with_a_parameter_the_strategy_ignores_is_usage_error(self, argv, key):
@@ -626,6 +631,18 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == f"usage error: strategy {argv[0]} takes no parameter {key}\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("trials", ["1000000000000000000000000000000", "9223372036854775808"])
+    def test_trials_beyond_int64_is_one_line_usage_error(self, trials):
+        proc = run_cli("one-shot", "--eta0", "1.2", "--eta1", "0.4", "--trials", trials)
+        assert proc.returncode == 1
+        assert proc.stderr == f"usage error: trials must be an integer in [1, 2**63 - 1], got {trials}\n"
+        assert proc.stdout == ""
+
+    def test_largest_trial_count_runs(self):
+        proc = run_cli("one-shot", "--eta0", "1.2", "--eta1", "0.4", "--trials", "9223372036854775807")
+        assert proc.returncode == 0, proc.stderr
+        assert "trials = 9223372036854775807" in proc.stdout
 
     def test_missing_config_file_is_io_error(self):
         proc = run_cli("one-shot", "--config", "/nope/cfg.json")
