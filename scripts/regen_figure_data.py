@@ -4,7 +4,7 @@
 Writes one file per preset into the output directory.  All presets are
 deterministic, so a rerun reproduces the files byte for byte.  Every preset
 but fig15 takes about a second or less at its default grid; fig15 optimizes
-the backward strategy over all its cells together and takes about 2.5 s at
+the backward strategy over all its cells together and takes about 0.6 s at
 its default 9x9 grid.  Pass --preset to regenerate a subset:
 
     PYTHONPATH=src python scripts/regen_figure_data.py --preset fig7 --preset fig8

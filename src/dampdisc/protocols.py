@@ -247,7 +247,8 @@ def build_protocol(strategy: str, pair: ChannelPair, params: dict | None = None)
     One exception: without ``x``, ``backward`` simulates at the forward
     optimum x of ``adaptive_forward_optimal``, not at the backward optimum
     that ``backward_adaptive_optimal`` reports, since that search costs about
-    0.13 s per call (one pair gains nothing from the cell-batched search).
+    0.05 s per call, ten times the default protocol's 5 ms (one pair gains
+    nothing from the cell-batched search).
     At (1.2, 0.4) the point query reports 0.866031 at x = 0.98354, while the
     default protocol's analytic value is 0.865819 at x = 1.
     """

@@ -22,7 +22,6 @@ import numpy as np
 from .channel import DampingChannel, InputState, SideEntangledInput
 from .discrimination import (
     Povm,
-    PriorPair,
     helstrom,
     helstrom_psucc,
     maximize_scalar,
@@ -40,9 +39,8 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TWO_SHOT_GRID_POINTS = 513  # 4x4 trace norms have eigenvalue-crossing kinks
 # the forward strategy's first effect P+(cos t rho0 - sin t rho1) = P+(rho0 - rho1)
 FORWARD_T = math.pi / 4
-# weighted-Helstrom angles t in [0, pi/2] scanned per probe weight; the grid
-# holds FORWARD_T exactly, so backward never scores below forward
-BACKWARD_T_GRID_POINTS = 4097
+# first-effect Bloch angles scanned per probe weight, on the arc from n0 to -n1
+BACKWARD_ARC_GRID_POINTS = 513
 # probe weights scanned before the golden refinement of the backward optimum
 BACKWARD_X_GRID_POINTS = 65
 BACKWARD_X_TOL = 1e-6
@@ -715,58 +713,97 @@ def _backward_values_batch(entries: np.ndarray, t) -> np.ndarray:
     return 0.5 + 0.25 * (first + second)
 
 
+def _projector_values_batch(bloch: np.ndarray, theta) -> np.ndarray:
+    """Backward value with first effect the real projector of Bloch angle theta.
+
+    ``bloch`` holds the Bloch vectors n = (a - d, 2b) of both outputs,
+    (z0, x0, z1, x1), stacked on axis 0; they broadcast against theta.  The
+    effect P = (I + cos theta Z + sin theta X)/2 gives r0 = Tr rho0 P =
+    (1 + n0.u)/2 and s0 = Tr rho1 P = (1 + n1.u)/2, u = (cos theta, sin theta).
+    Both operators of ``_two_stage_value`` then have the form (tr I + v.sigma)/2
+    with tr = r0 - s0, whose trace norm is max(|tr|, |v|): v = A = r0 n0 - s0 n1
+    for the first and v = A - D, D = n0 - n1, for the second.
+    """
+    z0, x0, z1, x1 = bloch
+    uz, ux = np.cos(theta), np.sin(theta)
+    r0 = 0.5 * (1.0 + z0 * uz + x0 * ux)
+    s0 = 0.5 * (1.0 + z1 * uz + x1 * ux)
+    tr = np.abs(r0 - s0)
+    az = r0 * z0 - s0 * z1
+    ax = r0 * x0 - s0 * x1
+    first = np.maximum(tr, np.hypot(az, ax))
+    second = np.maximum(tr, np.hypot(z0 - z1 - az, x0 - x1 - ax))
+    return 0.5 + 0.25 * (first + second)
+
+
 def _backward_first_step(pair: ChannelPair | PairArrays, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Best weighted-Helstrom angle at each probe weight: (t*, value) per cell.
+    """Best first-effect Bloch angle at each probe weight: (theta*, value) per cell.
 
     The cells are the pair angles broadcast against ``xs`` (a PairArrays of
     shape (m, 1) against xs of shape (1, k) gives an (m, k) block), and all
-    of them are searched over t in one ``maximize_scalar_cells`` pass.  The
+    of them are searched in one ``maximize_scalar_cells`` pass.  The
     backward value depends on the first effect M only through
     (Tr rho0 M, Tr rho1 M) and is convex there, so its maximum over all
-    effects sits on an extreme point of the reachable set.  Those are the
-    projectors P+(cos t rho0 - sin t rho1), t in [0, pi/2], and their
-    complements, which score the same; t = 0 gives M = I, which scores as
-    M = 0 (quantum Neyman-Pearson; Helstrom 1976).
+    effects sits on an extreme point of the reachable set: a projector
+    P+(cos t rho0 - sin t rho1), t in [0, pi/2], or its complement, which
+    scores the same (quantum Neyman-Pearson; Helstrom 1976).  Where that W
+    has one eigenvalue of each sign, P+ projects on the Bloch direction of
+    cos t n0 - sin t n1, which lies on the arc from n0 to -n1; where W is
+    definite, P+ is I or 0, which score no more than any projector.  So the
+    search runs over the real projectors on that arc, theta = start + tau
+    span with tau in [0, 1], where the value is continuous in tau.  The
+    forward strategy's effect P+(rho0 - rho1) is one more candidate, scored
+    by its own kernel, and wins ties, so backward never falls below forward.
     """
     xs = np.asarray(xs, dtype=float)
     cells = np.broadcast_arrays(*_output_entries(pair.eta0, xs), *_output_entries(pair.eta1, xs))
     entries = np.stack([c.ravel() for c in cells])
-    t_star, value = maximize_scalar_cells(
-        lambda idx, ts: _backward_values_batch(entries[:, idx, None], ts),
+    a0, b0, d0, a1, b1, d1 = entries
+    bloch = np.stack([a0 - d0, 2.0 * b0, a1 - d1, 2.0 * b1])
+    start = np.arctan2(bloch[1], bloch[0])
+    span = np.mod(np.arctan2(-bloch[3], -bloch[2]) - start + math.pi, 2.0 * math.pi) - math.pi
+    tau, value = maximize_scalar_cells(
+        lambda idx, taus: _projector_values_batch(
+            bloch[:, idx, None], start[idx, None] + taus * span[idx, None]
+        ),
         entries.shape[1],
         0.0,
-        math.pi / 2,
-        grid_points=BACKWARD_T_GRID_POINTS,
+        1.0,
+        grid_points=BACKWARD_ARC_GRID_POINTS,
     )
-    return t_star.reshape(cells[0].shape), value.reshape(cells[0].shape)
+    forward = _backward_values_batch(entries, FORWARD_T)
+    theta_forward = np.arctan2(bloch[1] - bloch[3], bloch[0] - bloch[2])
+    use_forward = forward >= value
+    theta = np.where(use_forward, theta_forward, start + tau * span)
+    value = np.where(use_forward, forward, value)
+    return theta.reshape(cells[0].shape), value.reshape(cells[0].shape)
 
 
-def _backward_povm(pair: ChannelPair, x: float, t: float) -> tuple[Povm, float]:
-    """The checked first-copy POVM (P+, P-) of cos t rho0 - sin t rho1, and its value."""
-    ct, st = math.cos(t), math.sin(t)
+def _backward_povm(pair: ChannelPair, x: float, theta: float) -> tuple[Povm, float]:
+    """The checked first-copy POVM (P, I - P), P the real projector at Bloch angle theta; its value."""
+    effect = projector(np.array([math.cos(0.5 * theta), math.sin(0.5 * theta)]))
+    povm = Povm(effects=(effect, np.eye(2) - effect))
     rho0, rho1 = pair.output_pair(x)
-    hel = helstrom(rho0, rho1, PriorPair(ct / (ct + st), st / (ct + st)))
-    povm = Povm(effects=(hel.projector_plus, hel.projector_minus))
-    return povm, _two_stage_value(rho0, rho1, povm.effects[0])
+    return povm, _two_stage_value(rho0, rho1, effect)
 
 
-def _backward_scored(pairs: PairArrays, xs, ts) -> np.ndarray:
-    """Backward value of each column pair at its (x, t), scored on its POVM."""
+def _backward_scored(pairs: PairArrays, xs, thetas) -> np.ndarray:
+    """Backward value of each column pair at its (x, theta), scored on its POVM."""
     return np.array(
-        [_backward_povm(pair, x, t)[1] for pair, x, t in zip(pairs.channel_pairs(), xs, ts)]
+        [_backward_povm(pair, x, th)[1] for pair, x, th in zip(pairs.channel_pairs(), xs, thetas)]
     )
 
 
 def backward_adaptive_measurement(pair: ChannelPair, x: float) -> tuple[Povm, float]:
     """Best first-copy two-outcome effect, second step outcome-reweighted.
 
-    The effect is the weighted-Helstrom projector found by
-    ``_backward_first_step``; the value is scored on that checked POVM.  The
-    search includes FORWARD_T, the forward strategy's first measurement, so
+    The effect is the real projector whose Bloch angle ``_backward_first_step``
+    finds on the arc from n0 to -n1; the value is scored on that checked
+    POVM.  The search includes the forward strategy's first measurement, so
     the result never falls below the forward strategy at the same probe weight.
     """
-    (t_star,), _ = _backward_first_step(pair, np.array([x]))
-    return _backward_povm(pair, x, t_star)
+    (theta_star,), _ = _backward_first_step(pair, np.array([x]))
+    return _backward_povm(pair, x, theta_star)
 
 
 def backward_adaptive_psucc(pair: ChannelPair, x: float) -> float:
@@ -789,8 +826,8 @@ def _backward_adaptive_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.
         grid_points=BACKWARD_X_GRID_POINTS,
         tol=BACKWARD_X_TOL,
     )
-    t_star, _ = _backward_first_step(pairs, x_star[:, None])
-    return x_star, _checked_psucc(_backward_scored(pairs, x_star, t_star[:, 0]))
+    theta_star, _ = _backward_first_step(pairs, x_star[:, None])
+    return x_star, _checked_psucc(_backward_scored(pairs, x_star, theta_star[:, 0]))
 
 
 def backward_adaptive_optimal(pair: ChannelPair) -> tuple[float, float]:
@@ -807,8 +844,8 @@ def _fwd_bwd_difference_batch(pairs: PairArrays) -> np.ndarray:
     """
     x_fwd, forward = _adaptive_forward_optimal_batch(pairs)
     _, backward = _backward_adaptive_optimal_batch(pairs)
-    t_fwd, _ = _backward_first_step(pairs, x_fwd[:, None])
-    return forward - np.maximum(backward, _backward_scored(pairs, x_fwd, t_fwd[:, 0]))
+    theta_fwd, _ = _backward_first_step(pairs, x_fwd[:, None])
+    return forward - np.maximum(backward, _backward_scored(pairs, x_fwd, theta_fwd[:, 0]))
 
 
 def fwd_bwd_difference(pair: ChannelPair) -> float:

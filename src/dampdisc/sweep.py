@@ -131,6 +131,7 @@ class SweepConfig:
 
         Real fields must be int or float (not bool) inside a closed range,
         which also rules out NaN and infinities; integer fields must be int.
+        Each real field is stored as float(v) + 0.0, so -0.0 reads back as 0.0.
         """
         if self.strategy not in STRATEGIES:
             raise ValueError(
@@ -149,7 +150,7 @@ class SweepConfig:
                 and rng[0] <= rng[1]
             ):
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= pi/2, got {rng!r}")
-            object.__setattr__(self, name, (float(rng[0]), float(rng[1])))
+            object.__setattr__(self, name, (float(rng[0]) + 0.0, float(rng[1]) + 0.0))
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
@@ -163,9 +164,13 @@ class SweepConfig:
         for key in self.fixed:
             if key not in FIXED_KEYS:
                 raise ValueError(f"unknown fixed parameter {key!r}; allowed: {FIXED_KEYS}")
+        fixed = dict(self.fixed)
         for key, hi, hi_text in (("x", 1.0, "1"), ("y", 1.0, "1"), ("alpha", HALF_PI, "pi/2")):
-            if key in self.fixed and not _in_range(self.fixed[key], 0.0, hi):
-                raise ValueError(f"{key} must lie in [0, {hi_text}], got {self.fixed[key]!r}")
+            if key in fixed:
+                if not _in_range(fixed[key], 0.0, hi):
+                    raise ValueError(f"{key} must lie in [0, {hi_text}], got {fixed[key]!r}")
+                fixed[key] = float(fixed[key]) + 0.0
+        object.__setattr__(self, "fixed", fixed)
         if "variant" in self.fixed and self.fixed["variant"] not in ("odd", "even"):
             raise ValueError(f"variant must be odd or even, got {self.fixed['variant']!r}")
         if self.preset is not None and self.fixed:
@@ -173,8 +178,10 @@ class SweepConfig:
                 f"preset {self.preset} takes no fixed parameters, got {', '.join(sorted(self.fixed))}"
             )
         for name, value in (("eta0", self.eta0), ("eta1", self.eta1)):
-            if value is not None and not _in_range(value, 0.0, HALF_PI):
-                raise ValueError(f"{name} must lie in [0, pi/2], got {value!r}")
+            if value is not None:
+                if not _in_range(value, 0.0, HALF_PI):
+                    raise ValueError(f"{name} must lie in [0, pi/2], got {value!r}")
+                object.__setattr__(self, name, float(value) + 0.0)
 
     def pair(self) -> ChannelPair:
         if self.eta0 is None or self.eta1 is None:
@@ -572,8 +579,8 @@ def _grid_backward(fixed: dict) -> GridCell:
             value = _backward_adaptive_optimal_batch(pairs)[1]
             _check_backward_dominates(value, _adaptive_forward_optimal_batch(pairs)[1], "optimum")
             return value
-        t_star, _ = _backward_first_step(pairs, x)
-        value = _backward_scored(pairs, [x] * len(eta0), t_star[:, 0])
+        theta_star, _ = _backward_first_step(pairs, x)
+        value = _backward_scored(pairs, [x] * len(eta0), theta_star[:, 0])
         _check_backward_dominates(value, _adaptive_forward_values_batch(pairs, x)[:, 0], "value")
         return value
 

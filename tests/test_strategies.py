@@ -11,8 +11,6 @@ from dampdisc.channel import DampingChannel, InputState
 from dampdisc.discrimination import PriorPair, helstrom, helstrom_psucc, maximize_scalar, maximize_scalar_cells
 from dampdisc.linalg import hermitian_eig, trace_norm
 from dampdisc.strategies import (
-    BACKWARD_T_GRID_POINTS,
-    FORWARD_T,
     ChannelPair,
     PairArrays,
     PolarCurvePoint,
@@ -501,7 +499,9 @@ class TestBackwardAdaptive:
         assert abs(diff) <= 5e-3
 
     # (pair, x) cases for the exact first-step search; the first two are where
-    # the earlier 4-D POVM search stopped short of the optimum
+    # the earlier 4-D POVM search stopped short of the optimum, the last two
+    # near-diagonal ones where a 4097-point scan over the weighted-Helstrom
+    # angle t did
     EXACT_CASES = [
         (ChannelPair(1.3366, 0.2654), 0.9644),
         (ChannelPair(1.0495, 0.6521), 0.8847),
@@ -509,6 +509,8 @@ class TestBackwardAdaptive:
         (ChannelPair(0.9, 0.3), 0.35),
         (ChannelPair(1.2, 0.4), 0.0),
         (ChannelPair(HALF_PI, math.pi / 3), 1.0),
+        (ChannelPair(0.7, 0.699), 0.6),
+        (ChannelPair(1.22, 1.218), 0.45),
     ]
 
     def test_beats_the_earlier_povm_search(self):
@@ -519,6 +521,15 @@ class TestBackwardAdaptive:
             self.EXACT_CASES[:2], (0.9444891551, 0.7075187072), (2.3e-4, 1.0e-4)
         ):
             assert backward_adaptive_psucc(pair, x) >= old_value + gain
+
+    def test_reaches_the_optimum_the_t_scan_missed(self):
+        # a 2,000,001-point scan of the projector's Bloch angle, each point
+        # scored by _two_stage_value; the 4097-point t scan stopped about 7e-7
+        # short of both, on the lower of two close maxima
+        for (pair, x), best in zip(
+            self.EXACT_CASES[6:], (0.5004321184148952, 0.5007790148060737)
+        ):
+            assert abs(backward_adaptive_psucc(pair, x) - best) <= 1e-12
 
     def test_no_random_effect_beats_the_search(self):
         rng = np.random.default_rng(31)
@@ -571,18 +582,46 @@ class TestBackwardAdaptive:
         for x in np.linspace(0.0, 1.0, 9):
             assert value >= backward_adaptive_psucc(pair, float(x)) - 1e-12
 
-    def test_angle_grid_holds_the_forward_measurement(self):
-        assert FORWARD_T in np.linspace(0.0, HALF_PI, BACKWARD_T_GRID_POINTS)
+    def test_first_step_never_below_forward(self):
+        # the 9x9 grid holds the diagonal (n0 = n1, so the forward effect
+        # takes atan2(0, 0)), eta = 0 and pi/2, and eta = pi/4 with x = 1,
+        # where rho is I/2 up to rounding
+        axis = np.linspace(0.0, HALF_PI, 9)
+        e0, e1 = np.meshgrid(axis, axis, indexing="ij")
+        pairs = PairArrays.columns(np.maximum(e0, e1).ravel(), np.minimum(e0, e1).ravel())
+        xs = np.array([[0.0, 0.25, 0.5, 0.75, 1.0]])
+        theta, value = _backward_first_step(pairs, xs)
+        assert np.all(np.isfinite(theta))
+        assert np.all(value >= _adaptive_forward_values_batch(pairs, xs))
+
+    def test_arc_search_reaches_the_t_scan(self):
+        # the weighted-Helstrom family P+(cos t rho0 - sin t rho1) holds every
+        # candidate extreme effect; scanned at 4097 angles t, it bounds the
+        # arc search from below on random cells, half of them near the diagonal
+        rng = np.random.default_rng(1414)
+        eta0 = rng.uniform(0.0, HALF_PI, 2000)
+        gap = np.where(np.arange(2000) % 2, 10.0 ** rng.uniform(-4.0, -1.0, 2000), eta0)
+        eta1 = np.clip(eta0 - rng.uniform(0.0, 1.0, 2000) * gap, 0.0, None)
+        xs = rng.uniform(0.0, 1.0, 2000)
+        ts = np.linspace(0.0, HALF_PI, 4097)
+        for block in np.array_split(np.arange(2000), 20):
+            pairs = PairArrays(eta0[block], eta1[block])
+            _, value = _backward_first_step(pairs, xs[block])
+            entries = np.array(
+                _output_entries(eta0[block], xs[block]) + _output_entries(eta1[block], xs[block])
+            )
+            scan = _backward_values_batch(entries[:, :, None], ts).max(axis=1)
+            assert np.all(value >= scan - 1e-12)
 
     def test_first_step_on_a_pair_block_equals_per_pair_calls(self):
         pairs = [pair for pair, _ in self.EXACT_CASES] + [ChannelPair(0.7, 0.7)]
         xs = np.array([0.0, 0.35, 0.9644, 1.0])
         block = PairArrays.columns([p.eta0 for p in pairs], [p.eta1 for p in pairs])
-        t_block, value_block = _backward_first_step(block, xs[None, :])
-        assert t_block.shape == value_block.shape == (len(pairs), len(xs))
+        theta_block, value_block = _backward_first_step(block, xs[None, :])
+        assert theta_block.shape == value_block.shape == (len(pairs), len(xs))
         for k, pair in enumerate(pairs):
-            t_row, value_row = _backward_first_step(pair, xs)
-            assert np.array_equal(t_block[k], t_row)
+            theta_row, value_row = _backward_first_step(pair, xs)
+            assert np.array_equal(theta_block[k], theta_row)
             assert np.array_equal(value_block[k], value_row)
 
 

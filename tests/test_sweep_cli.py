@@ -131,6 +131,18 @@ class TestSweepConfig:
             assert all(type(v) is float for v in rng)
         assert cfg.eta0_range == (0.0, 1.0)
 
+    def test_real_fields_store_negative_zero_as_zero(self):
+        cfg = SweepConfig(
+            strategy="feedback",
+            eta0_range=(-0.0, 1.0),
+            eta1_range=(-0.0, -0.0),
+            fixed={"x": -0.0, "y": -0.0, "alpha": -0.0},
+            eta0=-0.0,
+            eta1=-0.0,
+        )
+        reals = [*cfg.eta0_range, *cfg.eta1_range, *cfg.fixed.values(), cfg.eta0, cfg.eta1]
+        assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in reals)
+
 
 class TestRunPoint:
     def test_feedback_extreme_pair_is_certain(self):
@@ -516,6 +528,19 @@ class TestCli:
     def test_bad_flag_value_is_usage_error(self):
         proc = run_cli("one-shot", "--x", "abc", "--eta0", "0.4", "--eta1", "0.2")
         assert proc.returncode == 1
+
+    def test_point_with_negative_zero_prints_zero(self):
+        proc = run_cli("one-shot", "--eta0", "1.2", "--eta1", "0.4", "--x", "-0.0")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == ["psucc = 0.5", "x = 0"]
+
+    def test_sweep_with_negative_zero_range_writes_zero(self):
+        proc = run_cli("one-shot", "--eta0-range", "-0.0", "1.0", "--grid", "3", "--format", "json")
+        assert proc.returncode == 0
+        assert "-0.0" not in proc.stdout
+        payload = json.loads(proc.stdout)
+        assert payload["metadata"]["eta0_range"] == [0.0, 1.0]
+        assert payload["eta0_values"] == [0.0, 0.5, 1.0]
 
     def test_sweep_to_file_and_byte_identical_rerun(self, tmp_path):
         out1 = tmp_path / "a.csv"
