@@ -3,9 +3,9 @@
 
 Writes one file per preset into the output directory.  All presets are
 deterministic, so a rerun reproduces the files byte for byte.  Every preset
-but fig15 takes about a second or less at its default grid; fig15 optimizes
-the backward strategy over all its cells together and takes about 0.6 s at
-its default 9x9 grid.  Pass --preset to regenerate a subset:
+but fig15 takes about a tenth of a second or less at its default grid; fig15
+optimizes the backward strategy over all its cells together and takes about
+0.6 s at its default 9x9 grid.  Pass --preset to regenerate a subset:
 
     PYTHONPATH=src python scripts/regen_figure_data.py --preset fig7 --preset fig8
 """

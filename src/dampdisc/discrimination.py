@@ -36,6 +36,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # with the whole 625-cell grid in one call
 CELL_CHUNK = 8
 
+# grid points whose cheap scan value lies within this of the scan's grid
+# maximum are rescored with the exact objective.  A scan that agrees with the
+# objective within half of it leaves the grid argmax, ties included, unchanged
+SCAN_SLACK = 1e-12
+
 # numpy draws counts as int64
 MAX_TRIALS = 2**63 - 1
 
@@ -139,19 +144,33 @@ def maximize_scalar(
     *,
     grid_points: int = 257,
     tol: float = 1e-9,
+    scan: Callable | None = None,
 ) -> tuple[float, float]:
     """Deterministic scalar maximization: coarse grid, then golden refinement.
 
     ``f`` maps an array of arguments to the array of their values; it is
     called once on the whole grid, then on one-point arrays.  Ties go to the
     smallest argument (a constant function returns ``lo``).
+
+    ``scan``, when given, is a cheaper form of ``f`` that scans the grid in
+    its place.  The grid points it scores within ``SCAN_SLACK`` of its
+    maximum are rescored with ``f``, and the refinement calls only ``f``; a
+    scan that agrees with ``f`` within ``SCAN_SLACK / 2`` therefore returns
+    exactly what ``f`` alone returns.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_points)
-    ys = np.asarray(f(xs), dtype=float)
-    i = int(np.argmax(ys))
-    best_x, best_y = float(xs[i]), float(ys[i])
+    if scan is None:
+        near = np.arange(grid_points)
+        ys = np.asarray(f(xs), dtype=float)
+    else:
+        cheap = np.asarray(scan(xs), dtype=float)
+        near = np.flatnonzero(cheap >= cheap.max() - SCAN_SLACK)
+        ys = np.asarray(f(xs[near]), dtype=float)
+    k = int(np.argmax(ys))
+    i = int(near[k])
+    best_x, best_y = float(xs[i]), float(ys[k])
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, grid_points - 1)])
     if b > a:
@@ -170,29 +189,54 @@ def maximize_scalar_cells(
     *,
     grid_points: int = 257,
     tol: float = 1e-9,
+    scan: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``maximize_scalar`` for many independent objectives at once.
 
     ``f(idx, xs)`` evaluates the objectives of the cells ``idx`` (an index
-    array of shape (m,)) at ``xs``, which broadcasts against shape (m, 1), and
-    returns an (m, k) array.  The grid is scanned ``CELL_CHUNK`` cells at a
-    time; the golden refinement then runs on all cells together, each on its
-    own bracket, and a cell drops out as soon as its bracket is shorter than
-    ``tol``.  Brackets differ in length (an argmax on the edge of the grid
-    gives one grid step, an interior one two), so cells stop after different
-    iteration counts.  Each cell ends with the (x, value) that
-    ``maximize_scalar`` returns for its objective alone.
+    array of shape (m,), which may repeat a cell) at ``xs``, which broadcasts
+    against shape (m, 1), and returns an (m, k) array.  The grid is scanned
+    ``CELL_CHUNK`` cells at a time; the golden refinement then runs on all
+    cells together, each on its own bracket, and a cell drops out as soon as
+    its bracket is shorter than ``tol``.  Brackets differ in length (an argmax
+    on the edge of the grid gives one grid step, an interior one two), so
+    cells stop after different iteration counts.  Each cell ends with the
+    (x, value) that ``maximize_scalar`` returns for its objective alone,
+    ``scan`` (same signature as ``f``) included.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_points)
     best_i = np.empty(n_cells, dtype=np.intp)
     best_y = np.empty(n_cells)
+    near_cells, near_points = [], []
     for start in range(0, n_cells, CELL_CHUNK):
         idx = np.arange(start, min(start + CELL_CHUNK, n_cells))
-        ys = np.asarray(f(idx, xs[None, :]), dtype=float)
-        best_i[idx] = np.argmax(ys, axis=1)
-        best_y[idx] = ys[np.arange(idx.size), best_i[idx]]
+        if scan is None:
+            ys = np.asarray(f(idx, xs[None, :]), dtype=float)
+            best_i[idx] = np.argmax(ys, axis=1)
+            best_y[idx] = ys[np.arange(idx.size), best_i[idx]]
+        else:
+            cheap = np.asarray(scan(idx, xs[None, :]), dtype=float)
+            rows, points = np.nonzero(cheap >= cheap.max(axis=1, keepdims=True) - SCAN_SLACK)
+            near_cells.append(idx[rows])
+            near_points.append(points)
+    if scan is not None:
+        # f on the near points, at most as many per call as a grid chunk has
+        # (a flat objective makes every grid point near); np.nonzero lists them
+        # by cell, then by grid index, so the first maximum of a cell is its leftmost
+        cells, points = np.concatenate(near_cells), np.concatenate(near_points)
+        block = CELL_CHUNK * grid_points
+        ys = np.concatenate(
+            [
+                np.asarray(f(cells[k : k + block], xs[points[k : k + block], None]), dtype=float)[:, 0]
+                for k in range(0, cells.size, block)
+            ]
+        )
+        firsts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        top = np.flatnonzero(ys == np.maximum.reduceat(ys, firsts)[cells])
+        top = top[np.r_[True, cells[top[1:]] != cells[top[:-1]]]]
+        best_i, best_y = points[top], ys[top]
     best_x = xs[best_i]
     a = xs[np.maximum(best_i - 1, 0)]
     b = xs[np.minimum(best_i + 1, grid_points - 1)]

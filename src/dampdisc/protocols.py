@@ -189,7 +189,7 @@ def adaptive_forward_protocol(pair: ChannelPair, x: float) -> Protocol:
 def backward_adaptive_protocol(pair: ChannelPair, x: float) -> Protocol:
     """Optimized two-outcome first effect, posterior-reweighted second step."""
     rho0, rho1 = pair.output_pair(x)
-    povm, value = backward_adaptive_measurement(pair, x)
+    povm, value = backward_adaptive_measurement(pair, x, (rho0, rho1))
     return _two_stage_protocol("backward", rho0, rho1, tuple(povm.effects), value)
 
 

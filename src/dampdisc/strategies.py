@@ -35,6 +35,7 @@ ZERO_BRANCH_TOL = 1e-12  # squared norm below which an outcome is impossible
 WEIGHT_SLACK = 1e-10
 SCHMIDT_PRODUCT_TOL = 1e-8
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)
 
 TWO_SHOT_GRID_POINTS = 513  # 4x4 trace norms have eigenvalue-crossing kinks
 # the forward strategy's first effect P+(cos t rho0 - sin t rho1) = P+(rho0 - rho1)
@@ -485,6 +486,16 @@ def _two_shot_ent_values_batch(pair: ChannelPair, variant: str, xs: np.ndarray) 
 
 
 def two_shot_entangled_optimal(pair: ChannelPair, variant: str) -> StrategyResult:
+    """Best probe weight for an entangled two-probe input, collective measurement.
+
+    The ``odd`` objective does not depend on x: the output difference is
+    sin^2 eta0 - sin^2 eta1 on |00> plus cos^2 eta0 - cos^2 eta1 times a
+    rank-one projector, so every x gives (1 + sin^2 eta0 - sin^2 eta1)/2.  It
+    is reported at x = 0, where ``maximize_scalar`` puts a constant objective.
+    """
+    if variant == "odd":
+        psucc = 0.5 * (1.0 + math.sin(pair.eta0 - pair.eta1) * math.sin(pair.eta0 + pair.eta1))
+        return StrategyResult(psucc=psucc, params={"x": 0.0})
     x_star, psucc = maximize_scalar(
         lambda xs: _two_shot_ent_values_batch(pair, variant, xs),
         0.0,
@@ -519,6 +530,57 @@ def _two_shot_product_values_batch(pair: ChannelPair | PairArrays, xs: np.ndarra
     return 0.5 + 0.25 * np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
 
 
+def _two_copy_blocks(a, b, d) -> tuple:
+    """rho (x) rho for rho = [[a, b], [b, d]], split by Schur-Weyl duality.
+
+    The N = 2 case of det(rho)^(N/2 - j) Sym^(2j)(rho) on spin j: the singlet
+    (j = 0) carries det rho, the triplet (j = 1) the symmetric square, given
+    as its upper entries (00, 01, 02, 11, 12, 22) in the Dicke basis |00>,
+    (|01> + |10>)/sqrt 2, |11>.
+    """
+    return a * d - b * b, (a * a, SQRT2 * a * b, b * b, a * d + b * b, SQRT2 * b * d, d * d)
+
+
+def _trace_norm_sym3(m00, m01, m02, m11, m12, m22) -> np.ndarray:
+    """Trace norm of real symmetric 3x3 matrices given by their upper entries.
+
+    The extreme eigenvalues come from the trigonometric formula (O. K. Smith,
+    CACM 4, 168, 1961): with q = tr/3, p^2 = tr((A - qI)^2)/6 and
+    phi = acos(det((A - qI)/p)/2)/3, they are q + 2p cos(phi) and
+    q + 2p cos(phi + 2pi/3).  With e1 = tr, the trace norm is max(|e1|,
+    2 lmax - e1, e1 - 2 lmin), one term per sign pattern; it never needs the
+    middle eigenvalue, the one that a degenerate pair leaves ill-conditioned.
+    """
+    q = (m00 + m11 + m22) / 3.0
+    b00, b11, b22 = m00 - q, m11 - q, m22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
+    inv = 1.0 / np.where(p > 0.0, p, 1.0)  # p = 0: A = qI, every term below is 0
+    b00, b11, b22, n01, n02, n12 = b00 * inv, b11 * inv, b22 * inv, m01 * inv, m02 * inv, m12 * inv
+    half_det = 0.5 * (
+        b00 * b11 * b22 + 2.0 * n01 * n12 * n02 - b00 * n12 * n12 - b11 * n02 * n02 - b22 * n01 * n01
+    )
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    lmax = q + 2.0 * p * np.cos(phi)
+    lmin = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    e1 = 3.0 * q
+    return np.maximum(np.abs(e1), np.maximum(2.0 * lmax - e1, e1 - 2.0 * lmin))
+
+
+def _two_shot_product_scan(pair: ChannelPair | PairArrays, xs: np.ndarray) -> np.ndarray:
+    """``_two_shot_product_values_batch`` from the two-copy blocks, without an eigensolver.
+
+    rho0 (x) rho0 - rho1 (x) rho1 commutes with the swap, so its trace norm is
+    |det rho0 - det rho1| plus the trace norm of the triplet-block difference.
+    It agrees with the 4x4 route to rounding (5.6e-16 on edge and
+    near-diagonal cells); the optima use it to scan their grid and keep the
+    4x4 route for everything they report.
+    """
+    singlet0, triplet0 = _two_copy_blocks(*_output_entries(pair.eta0, xs))
+    singlet1, triplet1 = _two_copy_blocks(*_output_entries(pair.eta1, xs))
+    triplet = _trace_norm_sym3(*(u - v for u, v in zip(triplet0, triplet1)))
+    return 0.5 + 0.25 * (np.abs(singlet0 - singlet1) + triplet)
+
+
 def _schmidt_second_singular_values(delta: np.ndarray) -> list[float]:
     dec = hermitian_eig(delta)
     out = []
@@ -540,6 +602,7 @@ def two_shot_product_optimal(pair: ChannelPair) -> StrategyResult:
         0.0,
         1.0,
         grid_points=TWO_SHOT_GRID_POINTS,
+        scan=lambda xs: _two_shot_product_scan(pair, xs),
     )
     if psucc - 0.5 <= PSUCC_SLACK:
         # indistinguishable pair: the objective is flat, pin the boundary probe
@@ -565,6 +628,7 @@ def _two_shot_product_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.n
         0.0,
         1.0,
         grid_points=TWO_SHOT_GRID_POINTS,
+        scan=lambda idx, xs: _two_shot_product_scan(pairs.take(idx), xs),
     )
     _checked_psucc(psucc)
     return np.where(psucc - 0.5 <= PSUCC_SLACK, 1.0, x_star), psucc
@@ -593,7 +657,11 @@ def adaptive_forward_psucc(pair: ChannelPair, x: float) -> float:
 
     This is the backward strategy with its first effect fixed at FORWARD_T.
     """
-    rho0, rho1 = pair.output_pair(x)
+    return _forward_two_stage_value(*pair.output_pair(x))
+
+
+def _forward_two_stage_value(rho0: np.ndarray, rho1: np.ndarray) -> float:
+    """``adaptive_forward_psucc`` on outputs the caller has built."""
     return _two_stage_value(rho0, rho1, helstrom(rho0, rho1).projector_plus)
 
 
@@ -741,7 +809,8 @@ def _backward_first_step(pair: ChannelPair | PairArrays, xs) -> tuple[np.ndarray
 
     The cells are the pair angles broadcast against ``xs`` (a PairArrays of
     shape (m, 1) against xs of shape (1, k) gives an (m, k) block), and all
-    of them are searched in one ``maximize_scalar_cells`` pass.  The
+    of them are searched in one ``maximize_scalar_cells`` pass (one cell in a
+    ``maximize_scalar`` search, which returns the same bits).  The
     backward value depends on the first effect M only through
     (Tr rho0 M, Tr rho1 M) and is convex there, so its maximum over all
     effects sits on an extreme point of the reachable set: a projector
@@ -762,15 +831,25 @@ def _backward_first_step(pair: ChannelPair | PairArrays, xs) -> tuple[np.ndarray
     bloch = np.stack([a0 - d0, 2.0 * b0, a1 - d1, 2.0 * b1])
     start = np.arctan2(bloch[1], bloch[0])
     span = np.mod(np.arctan2(-bloch[3], -bloch[2]) - start + math.pi, 2.0 * math.pi) - math.pi
-    tau, value = maximize_scalar_cells(
-        lambda idx, taus: _projector_values_batch(
-            bloch[:, idx, None], start[idx, None] + taus * span[idx, None]
-        ),
-        entries.shape[1],
-        0.0,
-        1.0,
-        grid_points=BACKWARD_ARC_GRID_POINTS,
-    )
+    if entries.shape[1] == 1:
+        # one cell, as in a point query: the same (tau, value) without the
+        # bookkeeping of the cell-batched optimizer
+        tau, value = maximize_scalar(
+            lambda taus: _projector_values_batch(bloch, start + taus * span),
+            0.0,
+            1.0,
+            grid_points=BACKWARD_ARC_GRID_POINTS,
+        )
+    else:
+        tau, value = maximize_scalar_cells(
+            lambda idx, taus: _projector_values_batch(
+                bloch[:, idx, None], start[idx, None] + taus * span[idx, None]
+            ),
+            entries.shape[1],
+            0.0,
+            1.0,
+            grid_points=BACKWARD_ARC_GRID_POINTS,
+        )
     forward = _backward_values_batch(entries, FORWARD_T)
     theta_forward = np.arctan2(bloch[1] - bloch[3], bloch[0] - bloch[2])
     use_forward = forward >= value
@@ -779,31 +858,39 @@ def _backward_first_step(pair: ChannelPair | PairArrays, xs) -> tuple[np.ndarray
     return theta.reshape(cells[0].shape), value.reshape(cells[0].shape)
 
 
-def _backward_povm(pair: ChannelPair, x: float, theta: float) -> tuple[Povm, float]:
-    """The checked first-copy POVM (P, I - P), P the real projector at Bloch angle theta; its value."""
+def _backward_povm(outputs: tuple, theta: float) -> tuple[Povm, float]:
+    """The checked first-copy POVM (P, I - P), P the real projector at Bloch angle theta.
+
+    Returns it with its value on ``outputs``, the pair (rho0, rho1).
+    """
     effect = projector(np.array([math.cos(0.5 * theta), math.sin(0.5 * theta)]))
     povm = Povm(effects=(effect, np.eye(2) - effect))
-    rho0, rho1 = pair.output_pair(x)
-    return povm, _two_stage_value(rho0, rho1, effect)
+    return povm, _two_stage_value(*outputs, effect)
 
 
 def _backward_scored(pairs: PairArrays, xs, thetas) -> np.ndarray:
     """Backward value of each column pair at its (x, theta), scored on its POVM."""
     return np.array(
-        [_backward_povm(pair, x, th)[1] for pair, x, th in zip(pairs.channel_pairs(), xs, thetas)]
+        [
+            _backward_povm(pair.output_pair(x), th)[1]
+            for pair, x, th in zip(pairs.channel_pairs(), xs, thetas)
+        ]
     )
 
 
-def backward_adaptive_measurement(pair: ChannelPair, x: float) -> tuple[Povm, float]:
+def backward_adaptive_measurement(
+    pair: ChannelPair, x: float, outputs: tuple | None = None
+) -> tuple[Povm, float]:
     """Best first-copy two-outcome effect, second step outcome-reweighted.
 
     The effect is the real projector whose Bloch angle ``_backward_first_step``
     finds on the arc from n0 to -n1; the value is scored on that checked
     POVM.  The search includes the forward strategy's first measurement, so
     the result never falls below the forward strategy at the same probe weight.
+    ``outputs`` is ``pair.output_pair(x)`` when the caller has built it already.
     """
     (theta_star,), _ = _backward_first_step(pair, np.array([x]))
-    return _backward_povm(pair, x, theta_star)
+    return _backward_povm(outputs or pair.output_pair(x), theta_star)
 
 
 def backward_adaptive_psucc(pair: ChannelPair, x: float) -> float:

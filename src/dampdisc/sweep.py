@@ -26,8 +26,8 @@ from .strategies import (
     adaptive_feedback_psucc,
     adaptive_forward_optimal,
     adaptive_forward_psucc,
+    backward_adaptive_measurement,
     backward_adaptive_optimal,
-    backward_adaptive_psucc,
     damping_polar_curve,
     feedback_optimal,
     feedback_psucc,
@@ -56,6 +56,7 @@ from .strategies import (
     _backward_first_step,
     _backward_scored,
     _feedback_values_batch,
+    _forward_two_stage_value,
     _fwd_bwd_difference_batch,
     _side_ent_optimal_batch,
     _two_shot_ent_values_batch,
@@ -432,8 +433,9 @@ def _check_backward_dominates(backward, forward, what: str) -> None:
 def _point_backward(pair: ChannelPair, fixed: dict) -> PointReport:
     x = fixed.get("x")
     if x is not None:
-        value = backward_adaptive_psucc(pair, x)
-        _check_backward_dominates(value, adaptive_forward_psucc(pair, x), "value")
+        outputs = pair.output_pair(x)
+        _, value = backward_adaptive_measurement(pair, x, outputs)
+        _check_backward_dominates(value, _forward_two_stage_value(*outputs), "value")
         return PointReport("backward", value, "psucc", {"x": x})
     x_star, value = backward_adaptive_optimal(pair)
     _check_backward_dominates(value, adaptive_forward_optimal(pair).psucc, "optimum")
@@ -557,9 +559,15 @@ def _preset_adaptive_gain(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
     return adaptive - _one_shot_optima(eta0, eta1)
 
 
-@_per_pair
-def _preset_second_copy_feedback_gain(pair: ChannelPair) -> float:
-    return adaptive_feedback_psucc(pair) - feedback_optimal(pair).psucc
+def _preset_second_copy_feedback_gain(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+    """adaptive_feedback_closed_form minus feedback_optimal, written without cancellation.
+
+    (sin d sqrt(1 + cos^2 d) - sin d) / 2 = sin d cos^2 d / (2 (1 + sqrt(1 + cos^2 d))),
+    d = eta0 - eta1.
+    """
+    d = eta0 - eta1
+    cos_sq = np.cos(d) ** 2
+    return 0.5 * np.sin(d) * cos_sq / (1.0 + np.sqrt(1.0 + cos_sq))
 
 
 def _grid_fwd_bwd(eta0: np.ndarray, eta1: np.ndarray) -> np.ndarray:

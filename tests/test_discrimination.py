@@ -192,6 +192,66 @@ class TestMaximizeScalarCells:
             disc.maximize_scalar_cells(lambda idx, xs: xs, 1, 1.0, 1.0)
 
 
+class TestScanObjective:
+    """A cheap ``scan`` form of the objective scans the grid; ``f`` decides."""
+
+    @staticmethod
+    def plateau(t):
+        # maximal on all of [0.5, 1]: the leftmost grid point 0.5 is the argmax
+        return np.minimum(t, 0.5)
+
+    @staticmethod
+    def jitter(seed):
+        # moves values by up to SCAN_SLACK / 4, so a scan breaks the plateau's ties at random
+        rng = np.random.default_rng(seed)
+        return lambda values: values + rng.uniform(-0.25, 0.25, np.shape(values)) * disc.SCAN_SLACK
+
+    def test_scalar_optimizer_returns_what_f_alone_returns(self):
+        expected = disc.maximize_scalar(self.plateau, 0.0, 1.0)
+        assert expected == (0.5, 0.5)
+        for seed in range(5):
+            jitter = self.jitter(seed)
+            scanned = disc.maximize_scalar(self.plateau, 0.0, 1.0, scan=lambda t: jitter(self.plateau(t)))
+            assert scanned == expected
+
+    def test_cell_optimizer_returns_what_f_alone_returns(self):
+        shifts = np.linspace(0.0, 0.4, 2 * disc.CELL_CHUNK + 3)
+
+        def f(idx, xs):
+            return self.plateau(xs - shifts[idx, None])
+
+        jitter = self.jitter(0)
+        expected = disc.maximize_scalar_cells(f, len(shifts), 0.0, 1.0)
+        x, y = disc.maximize_scalar_cells(f, len(shifts), 0.0, 1.0, scan=lambda idx, xs: jitter(f(idx, xs)))
+        assert np.array_equal(x, expected[0]) and np.array_equal(y, expected[1])
+
+    def test_scan_runs_on_the_grid_only(self):
+        calls = {"scan": 0, "f": 0}
+
+        def counted(name, objective):
+            def wrapped(*args):
+                calls[name] += 1
+                return objective(*args)
+
+            return wrapped
+
+        def cells(idx, xs):
+            # increasing, so each cell has one near point
+            return np.broadcast_to(xs, (len(idx), np.shape(xs)[-1])).copy()
+
+        disc.maximize_scalar(counted("f", self.plateau), 0.0, 1.0, scan=counted("scan", self.plateau))
+        assert calls["scan"] == 1
+        n_cells = 2 * disc.CELL_CHUNK + 1  # three chunks
+        calls.update(scan=0, f=0)
+        disc.maximize_scalar_cells(counted("f", cells), n_cells, 0.0, 1.0, scan=counted("scan", cells))
+        assert calls["scan"] == 3
+        with_scan = calls["f"]
+        calls.update(f=0)
+        disc.maximize_scalar_cells(counted("f", cells), n_cells, 0.0, 1.0)
+        # the three chunked grid calls of f become one call on the near points
+        assert with_scan == calls["f"] - 2
+
+
 class TestPovm:
     def test_rejects_non_hermitian_effect(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])

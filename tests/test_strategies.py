@@ -59,6 +59,7 @@ from dampdisc.strategies import (
     _side_ent_optimal_batch,
     _two_shot_ent_values_batch,
     _two_shot_product_optimal_batch,
+    _two_shot_product_scan,
     _two_shot_product_values_batch,
     _two_stage_value,
 )
@@ -73,6 +74,20 @@ SAMPLE_PAIRS = [
     ChannelPair(0.6, 0.1),
     ChannelPair(1.5, 0.0),
 ]
+
+
+
+def seeded_pairs(n: int, seed: int) -> PairArrays:
+    """n ordered column pairs: half uniform, a quarter near-diagonal (gaps
+    1e-10 to 1e-1), a quarter with one angle on an edge 0, pi/4 or pi/2."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.0, HALF_PI, n), rng.uniform(0.0, HALF_PI, n)
+    near = slice(n // 2, 3 * n // 4)
+    b[near] = np.clip(a[near] - 10.0 ** rng.uniform(-10.0, -1.0, n // 4), 0.0, None)
+    edge = slice(3 * n // 4, n)
+    a[edge] = rng.choice([0.0, math.pi / 4, HALF_PI], n - 3 * n // 4)
+    return PairArrays.columns(np.maximum(a, b), np.minimum(a, b))
+
 
 angle_st = st.floats(min_value=0.0, max_value=HALF_PI, allow_nan=False)
 unit_st = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -348,6 +363,14 @@ class TestTwoShotEntangled:
                     float(_two_shot_ent_values_batch(pair, variant, np.asarray(x))), abs=1e-12
                 )
 
+    def test_odd_optimum_is_the_closed_form_at_zero(self):
+        for pair in SAMPLE_PAIRS + [ChannelPair(1.0, 0.3), ChannelPair(0.7, 0.7)]:
+            res = two_shot_entangled_optimal(pair, "odd")
+            assert res.params["x"] == 0.0
+            assert res.psucc == pytest.approx(two_shot_entangled_psucc(pair, "odd", 0.0), abs=1e-12)
+            closed = 0.5 * (1.0 + math.sin(pair.eta0) ** 2 - math.sin(pair.eta1) ** 2)
+            assert res.psucc == pytest.approx(closed, abs=1e-15)
+
     def test_even_peak_at_excited_probe(self):
         for pair in (ChannelPair(1.2, 0.4), ChannelPair(0.9, 0.5)):
             res = two_shot_entangled_optimal(pair, "even")
@@ -367,6 +390,16 @@ class TestTwoShotEntangled:
 
 
 class TestTwoShotProduct:
+    def test_scan_matches_the_eigensolver_route(self):
+        pairs = seeded_pairs(1200, 20)
+        xs = np.concatenate([np.linspace(0.0, 1.0, 129), [1e-12, 1.0 - 1e-9]])[None, :]
+        gap = np.abs(_two_shot_product_scan(pairs, xs) - _two_shot_product_values_batch(pairs, xs))
+        assert gap.max() <= 1e-15
+        for pair in SAMPLE_PAIRS + [ChannelPair(0.8, 0.8), ChannelPair(HALF_PI, 0.0)]:
+            xs = np.linspace(0.0, 1.0, 33)
+            gap = np.abs(_two_shot_product_scan(pair, xs) - _two_shot_product_values_batch(pair, xs))
+            assert gap.max() <= 1e-15
+
     def test_scalar_matches_batch(self):
         pair = ChannelPair(1.35, 0.65)
         xs = np.linspace(0.0, 1.0, 11)
@@ -625,6 +658,18 @@ class TestBackwardAdaptive:
             assert np.array_equal(value_block[k], value_row)
 
 
+    def test_one_cell_first_step_equals_the_block_search(self):
+        # a point query searches its one cell with maximize_scalar, a block
+        # with maximize_scalar_cells; both must give the same bits
+        pairs = seeded_pairs(200, 22)
+        xs = np.random.default_rng(23).uniform(0.0, 1.0, 200)
+        xs[::9] = 1.0
+        theta_block, value_block = _backward_first_step(pairs, xs[:, None])
+        for k, pair in enumerate(pairs.channel_pairs()):
+            theta, value = _backward_first_step(pair, xs[k : k + 1])
+            assert (theta[0], value[0]) == (theta_block[k, 0], value_block[k, 0])
+
+
 class TestSequential:
     def test_composition_identity(self):
         rng = np.random.default_rng(11)
@@ -715,6 +760,61 @@ class TestCellBatchedOptima:
             res = two_shot_product_optimal(ChannelPair(float(a), float(b)))
             assert (x_star[k], psucc[k]) == (res.params["x"], res.psucc)
         assert np.all(x_star[eta0 == eta1] == 1.0)
+
+    def test_scan_leaves_both_optimizers_unchanged(self):
+        eta0, eta1 = self.ordered_grid()
+        pairs = PairArrays.columns(eta0, eta1)
+        expected = maximize_scalar_cells(
+            lambda idx, xs: _two_shot_product_values_batch(pairs.take(idx), xs),
+            len(eta0),
+            0.0,
+            1.0,
+            grid_points=513,
+        )
+        x_cells, y_cells = maximize_scalar_cells(
+            lambda idx, xs: _two_shot_product_values_batch(pairs.take(idx), xs),
+            len(eta0),
+            0.0,
+            1.0,
+            grid_points=513,
+            scan=lambda idx, xs: _two_shot_product_scan(pairs.take(idx), xs),
+        )
+        assert np.array_equal(x_cells, expected[0]) and np.array_equal(y_cells, expected[1])
+        for k, (a, b) in enumerate(zip(eta0, eta1)):
+            pair = ChannelPair(float(a), float(b))
+            scanned = maximize_scalar(
+                lambda xs: _two_shot_product_values_batch(pair, xs),
+                0.0,
+                1.0,
+                grid_points=513,
+                scan=lambda xs: _two_shot_product_scan(pair, xs),
+            )
+            assert scanned == (expected[0][k], expected[1][k])
+
+    def test_scan_leaves_the_product_optimum_unchanged_on_seeded_pairs(self):
+        # on this set, rescoring only the scan's own argmax moves one
+        # near-diagonal x* by 7.2e-5: the near ties need rescoring too
+        pairs = seeded_pairs(2000, 5)
+
+        def optimum(**scan):
+            return maximize_scalar_cells(
+                lambda idx, xs: _two_shot_product_values_batch(pairs.take(idx), xs),
+                2000,
+                0.0,
+                1.0,
+                grid_points=513,
+                **scan,
+            )
+
+        x_plain, y_plain = optimum()
+        x_scan, y_scan = optimum(scan=lambda idx, xs: _two_shot_product_scan(pairs.take(idx), xs))
+        assert np.array_equal(x_scan, x_plain) and np.array_equal(y_scan, y_plain)
+        x_star, psucc = _two_shot_product_optimal_batch(pairs)
+        assert np.array_equal(psucc, y_plain)
+        assert np.array_equal(x_star, np.where(y_plain - 0.5 <= 1e-9, 1.0, x_plain))
+        for k in range(0, 2000, 50):
+            res = two_shot_product_optimal(ChannelPair(float(pairs.eta0[k, 0]), float(pairs.eta1[k, 0])))
+            assert (res.params["x"], res.psucc) == (x_star[k], psucc[k])
 
     def test_adaptive_optimum_equals_pointwise(self):
         eta0, eta1 = self.ordered_grid()

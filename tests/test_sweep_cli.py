@@ -341,6 +341,15 @@ class TestPresets:
         assert grid.values.min() >= -1e-9
         assert np.abs(np.diagonal(grid.values)).max() <= 1e-9
 
+    def test_second_copy_feedback_gain_matches_the_constructions(self):
+        grid = run_sweep(PRESETS["fig13"].config())
+        assert grid.values.shape == (25, 25)
+        for i, e0 in enumerate(grid.row_values):
+            for j, e1 in enumerate(grid.col_values):
+                pair = ChannelPair(float(e0), float(e1))
+                one_copy = strategies.feedback_psucc(pair, 1.0, math.pi / 4)
+                assert abs(grid.values[i, j] - (strategies.adaptive_feedback_psucc(pair) - one_copy)) <= 1e-12
+
     def test_reference_weight_zero_iff_strong_damping(self):
         grid = run_sweep(PRESETS["fig4"].config(grid_n=5))
         for i, e0 in enumerate(grid.row_values):
@@ -528,6 +537,14 @@ class TestCli:
     def test_bad_flag_value_is_usage_error(self):
         proc = run_cli("one-shot", "--x", "abc", "--eta0", "0.4", "--eta1", "0.2")
         assert proc.returncode == 1
+
+    def test_odd_entangled_point_reports_x_zero(self):
+        proc = run_cli("two-shot-entangled", "--eta0", "1.2", "--eta1", "0.4")
+        assert proc.returncode == 0
+        value, x = proc.stdout.splitlines()
+        assert x == "x = 0"
+        construction = strategies.two_shot_entangled_psucc(ChannelPair(1.2, 0.4), "odd", 0.0)
+        assert value == f"psucc = {construction:.12g}"
 
     def test_point_with_negative_zero_prints_zero(self):
         proc = run_cli("one-shot", "--eta0", "1.2", "--eta1", "0.4", "--x", "-0.0")
