@@ -10,13 +10,15 @@ failure (including a Monte Carlo z-score above 4), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .sweep import (
-    POLAR_GRID_DEFAULT,
+    FIXED_KEYS,
     PRESETS,
     STRATEGIES,
+    STRATEGY_TABLE,
     ConsistencyError,
     SweepConfig,
     emit,
@@ -31,18 +33,7 @@ EXIT_INCONSISTENT = 2
 EXIT_IO = 3
 
 # the positional argument alone picks the strategy or preset
-_CONFIG_KEYS = {
-    "grid_n",
-    "eta0_range",
-    "eta1_range",
-    "fixed",
-    "output_path",
-    "format",
-    "seed",
-    "trials",
-    "eta0",
-    "eta1",
-}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SweepConfig)} - {"strategy", "preset"}
 
 
 class _UsageError(Exception):
@@ -97,20 +88,16 @@ def _merged_settings(args: argparse.Namespace) -> dict:
     fixed = merged.get("fixed", {})
     if isinstance(fixed, dict):  # anything else is left for SweepConfig to reject
         fixed = dict(fixed)
-        for key in ("x", "y", "alpha", "variant"):
+        for key in FIXED_KEYS:
             value = getattr(args, key)
             if value is not None:
                 fixed[key] = value
         if fixed:
             merged["fixed"] = fixed
-    for key in ("eta0", "eta1", "grid_n", "output_path", "format", "seed", "trials"):
+    for key in _CONFIG_KEYS - {"fixed"}:
         value = getattr(args, key)
         if value is not None:
-            merged[key] = value
-    for key in ("eta0_range", "eta1_range"):
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = tuple(value)
+            merged[key] = tuple(value) if isinstance(value, list) else value
     return merged
 
 
@@ -120,9 +107,7 @@ def _build_config(target: str, merged: dict) -> tuple[SweepConfig, str]:
         kwargs: dict = {"strategy": preset.strategy, "preset": target, "grid_n": preset.grid_n}
         mode = "sweep"
     elif target in STRATEGIES:
-        kwargs = {"strategy": target}
-        if target == "polar-curve" and "grid_n" not in merged:
-            kwargs["grid_n"] = POLAR_GRID_DEFAULT
+        kwargs = {"strategy": target, "grid_n": STRATEGY_TABLE[target].grid_n}
         if "trials" in merged:
             mode = "mc"
         elif any(key in merged for key in ("grid_n", "eta0_range", "eta1_range")):

@@ -66,22 +66,6 @@ from .strategies import (
 
 HALF_PI = math.pi / 2
 
-# the fixed parameters each strategy takes; a sweep rejects any other
-STRATEGY_PARAMS = {
-    "one-shot": ("x",),
-    "side-ent": ("y",),
-    "feedback": ("x", "alpha"),
-    "two-shot-entangled": ("x", "variant"),
-    "two-shot-product": ("x",),
-    "adaptive": ("x",),
-    "adaptive-fb": (),
-    "backward": ("x",),
-    "sequential": ("x",),
-    "fwd-bwd-diff": (),
-    "polar-curve": (),
-}
-STRATEGIES = tuple(STRATEGY_PARAMS)
-
 FIXED_KEYS = ("x", "y", "alpha", "variant")
 
 VALUE_CHECK_TOL = 1e-8
@@ -474,36 +458,19 @@ def _polar_radius_closed(eta1: float, x: float) -> float:
     return 2.0 * math.cos(eta1) * math.sqrt(max(0.0, x * (1.0 - x * math.sin(eta1) ** 2)))
 
 
-_POINT_DISPATCH = {
-    "one-shot": _point_one_shot,
-    "side-ent": _point_side_ent,
-    "feedback": _point_feedback,
-    "two-shot-entangled": _point_two_shot_entangled,
-    "two-shot-product": _point_two_shot_product,
-    "adaptive": _point_adaptive,
-    "adaptive-fb": _point_adaptive_fb,
-    "backward": _point_backward,
-    "sequential": _point_sequential,
-    "fwd-bwd-diff": _point_fwd_bwd,
-}
-
-
-def run_point(cfg: SweepConfig) -> PointReport:
-    """Evaluate one strategy at one channel pair, cross-checking dual routes."""
-    if cfg.strategy == "polar-curve":
-        if cfg.eta1 is None:
-            raise ValueError("polar-curve needs --eta1")
-        x = cfg.fixed.get("x", 1.0)
-        theta = math.asin(math.sqrt(x))
-        radius = polar_radius(cfg.eta1, x)
-        _check_close(
-            "polar radius numeric vs closed",
-            radius,
-            _polar_radius_closed(cfg.eta1, x),
-            IDENTITY_CHECK_TOL,
-        )
-        return PointReport("polar-curve", radius, "radius", {"theta": theta, "x": x})
-    return _POINT_DISPATCH[cfg.strategy](cfg.pair(), cfg.fixed)
+def _point_polar(cfg: SweepConfig) -> PointReport:
+    if cfg.eta1 is None:
+        raise ValueError(f"{cfg.strategy} needs --eta1")
+    x = cfg.fixed.get("x", 1.0)
+    theta = math.asin(math.sqrt(x))
+    radius = polar_radius(cfg.eta1, x)
+    _check_close(
+        "polar radius numeric vs closed",
+        radius,
+        _polar_radius_closed(cfg.eta1, x),
+        IDENTITY_CHECK_TOL,
+    )
+    return PointReport("polar-curve", radius, "radius", {"theta": theta, "x": x})
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +654,7 @@ def _polar_family(cfg: SweepConfig) -> SweepGrid:
         angles = POLAR_CURVE_ANGLES
     else:
         if cfg.eta1 is None:
-            raise ValueError("polar-curve sweep needs --eta1")
+            raise ValueError(f"{cfg.strategy} sweep needs --eta1")
         angles = (cfg.eta1,)
     values = [[p.radius for p in damping_polar_curve(eta1, cfg.grid_n)] for eta1 in angles]
     thetas = np.linspace(0.0, HALF_PI, cfg.grid_n)
@@ -696,30 +663,78 @@ def _polar_family(cfg: SweepConfig) -> SweepGrid:
     return SweepGrid(POLAR_AXES, np.asarray(angles, dtype=float), thetas, values, meta)
 
 
+# ---------------------------------------------------------------------------
+# the strategy table
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """What the sweep layer and the CLI know of one strategy.
+
+    ``params`` are the fixed parameters it takes; a sweep rejects any other.
+    On the (eta0, eta1) grid, ``point(pair, fixed)`` is the point query with
+    its dual-route check, and ``cells(fixed)`` makes the grid function of a
+    sweep (None: one point query per cell).  A strategy with a ``family``
+    runs over an axis of its own instead: ``point(cfg)`` and ``family(cfg)``
+    take the whole config, and a sweep rejects range flags too.  ``grid_n``
+    is the CLI's default grid.
+    """
+
+    params: tuple
+    point: Callable[..., PointReport]
+    cells: Callable[[dict], GridCell] | None = None
+    family: Callable[[SweepConfig], SweepGrid] | None = None
+    grid_n: int = 25
+
+    def query(self, cfg: SweepConfig) -> PointReport:
+        if self.family is not None:
+            return self.point(cfg)
+        return self.point(cfg.pair(), cfg.fixed)
+
+    def grid_cell(self, fixed: dict) -> GridCell:
+        if self.cells is not None:
+            return self.cells(fixed)
+        return _per_pair(lambda pair: self.point(pair, fixed).value)
+
+
+STRATEGY_TABLE = {
+    "one-shot": Strategy(("x",), _point_one_shot),
+    "side-ent": Strategy(("y",), _point_side_ent),
+    "feedback": Strategy(("x", "alpha"), _point_feedback),
+    "two-shot-entangled": Strategy(("x", "variant"), _point_two_shot_entangled),
+    "two-shot-product": Strategy(("x",), _point_two_shot_product),
+    "adaptive": Strategy(("x",), _point_adaptive),
+    "adaptive-fb": Strategy((), _point_adaptive_fb),
+    "backward": Strategy(("x",), _point_backward, cells=_grid_backward),
+    "sequential": Strategy(("x",), _point_sequential),
+    "fwd-bwd-diff": Strategy((), _point_fwd_bwd, cells=lambda fixed: _grid_fwd_bwd),
+    "polar-curve": Strategy((), _point_polar, family=_polar_family, grid_n=POLAR_GRID_DEFAULT),
+}
+STRATEGIES = tuple(STRATEGY_TABLE)
+
+
+def run_point(cfg: SweepConfig) -> PointReport:
+    """Evaluate one strategy at one channel pair, cross-checking dual routes."""
+    return STRATEGY_TABLE[cfg.strategy].query(cfg)
+
+
 def run_sweep(cfg: SweepConfig) -> SweepGrid:
     """Evaluate the configured quantity on the (eta0, eta1) grid.
 
     Every cell depends only on its channel pair, which is ordered (stronger
     damping first) before the grid function sees it.  A fixed parameter the
-    strategy does not take, or a range flag on a polar curve, is rejected, so
-    the metadata records only inputs that shaped the values.
+    strategy does not take, or a range flag on a strategy off the pair grid,
+    is rejected, so the metadata records only inputs that shaped the values.
     """
-    ignored = sorted(set(cfg.fixed) - set(STRATEGY_PARAMS[cfg.strategy]))
-    if cfg.strategy == "polar-curve":
-        # the curve runs over theta, not over a grid of channel pairs
+    strategy = STRATEGY_TABLE[cfg.strategy]
+    ignored = sorted(set(cfg.fixed) - set(strategy.params))
+    if strategy.family is not None:
         ignored += [name for name in ("eta0_range", "eta1_range") if getattr(cfg, name) != (0.0, HALF_PI)]
     if ignored:
         raise ValueError(f"strategy {cfg.strategy} takes no parameter {', '.join(ignored)}")
-    if cfg.strategy == "polar-curve":
-        return _polar_family(cfg)
-    if cfg.preset is not None:
-        cell = PRESETS[cfg.preset].cell
-    elif cfg.strategy == "fwd-bwd-diff":
-        cell = _grid_fwd_bwd
-    elif cfg.strategy == "backward":
-        cell = _grid_backward(cfg.fixed)
-    else:
-        cell = _per_pair(lambda pair: _POINT_DISPATCH[cfg.strategy](pair, cfg.fixed).value)
+    if strategy.family is not None:
+        return strategy.family(cfg)
+    cell = PRESETS[cfg.preset].cell if cfg.preset is not None else strategy.grid_cell(cfg.fixed)
     eta0s = np.linspace(cfg.eta0_range[0], cfg.eta0_range[1], cfg.grid_n)
     eta1s = np.linspace(cfg.eta1_range[0], cfg.eta1_range[1], cfg.grid_n)
     e0, e1 = np.meshgrid(eta0s, eta1s, indexing="ij")

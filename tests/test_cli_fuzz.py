@@ -21,7 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dampdisc import cli
-from dampdisc.sweep import FIXED_KEYS, PRESETS, STRATEGIES, STRATEGY_PARAMS
+from dampdisc.sweep import FIXED_KEYS, PRESETS, STRATEGIES, STRATEGY_TABLE
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INCONSISTENT, cli.EXIT_IO}
 HALF_PI = math.pi / 2
@@ -74,7 +74,7 @@ def invocations(draw) -> tuple[list[str], "dict | str | None"]:
     target = draw(st.sampled_from(list(STRATEGIES) + list(PRESETS) + ["bogus", "--x"]))
     flags: dict = {}
     config: "dict | str" = {}
-    takes = STRATEGY_PARAMS.get(target, ())  # presets take no fixed parameter
+    takes = STRATEGY_TABLE[target].params if target in STRATEGY_TABLE else ()  # presets take none
     for flag, key, valid in FIELDS:
         # both angles are usually given, a parameter the target does not take rarely
         if key in ("eta0", "eta1"):

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from dampdisc import protocols
 from dampdisc.discrimination import Protocol, exact_psucc, monte_carlo_psucc
 from dampdisc.protocols import (
     MC_STRATEGIES,
@@ -18,7 +20,15 @@ from dampdisc.protocols import (
     two_shot_entangled_protocol,
     two_shot_product_protocol,
 )
-from dampdisc.strategies import ChannelPair
+from dampdisc.strategies import (
+    ChannelPair,
+    adaptive_forward_optimal,
+    one_shot_optimal,
+    sequential_two_shot_optimal,
+    side_ent_optimal,
+    two_shot_entangled_optimal,
+    two_shot_product_optimal,
+)
 
 PAIRS = [ChannelPair(1.2, 0.4), ChannelPair(math.pi / 2, math.pi / 3), ChannelPair(1.45, 1.15)]
 
@@ -96,6 +106,48 @@ class TestBuildProtocol:
             build_protocol("fwd-bwd-diff", ChannelPair(1.0, 0.5))
         with pytest.raises(ValueError):
             build_protocol("polar-curve", ChannelPair(1.0, 0.5))
+
+
+class TestLazyDefaults:
+    OPTIMIZERS = (
+        "one_shot_optimal",
+        "side_ent_optimal",
+        "two_shot_entangled_optimal",
+        "two_shot_product_optimal",
+        "adaptive_forward_optimal",
+        "sequential_two_shot_optimal",
+    )
+
+    @pytest.mark.parametrize("name", MC_STRATEGIES)
+    def test_given_parameters_run_no_optimizer(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("an optimum was computed for a parameter that was given")
+
+        for optimizer in self.OPTIMIZERS:
+            monkeypatch.setattr(protocols, optimizer, refuse)
+        params = {"x": 0.6, "y": 0.4, "alpha": 0.5, "variant": "even"}
+        proto = build_protocol(name, ChannelPair(1.2, 0.4), params)
+        assert exact_psucc(proto) == pytest.approx(proto.analytic_psucc, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, key, optimal",
+        [
+            ("one-shot", "x", one_shot_optimal),
+            ("side-ent", "y", side_ent_optimal),
+            ("two-shot-entangled", "x", lambda pair: two_shot_entangled_optimal(pair, "odd")),
+            ("two-shot-product", "x", two_shot_product_optimal),
+            ("adaptive", "x", adaptive_forward_optimal),
+            ("backward", "x", adaptive_forward_optimal),
+            ("sequential", "x", sequential_two_shot_optimal),
+        ],
+    )
+    def test_omitted_parameter_is_the_optimum(self, name, key, optimal):
+        pair = ChannelPair(1.2, 0.4)
+        default = build_protocol(name, pair, {})
+        given = build_protocol(name, pair, {key: optimal(pair).params[key]})
+        assert default.analytic_psucc == given.analytic_psucc
+        for a, b in zip(default.stage_tables, given.stage_tables):
+            assert np.array_equal(a, b)
 
 
 class TestMonteCarlo:

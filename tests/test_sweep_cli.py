@@ -6,12 +6,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dampdisc import strategies, sweep
+from dampdisc import cli, strategies, sweep
 from dampdisc.discrimination import Protocol
+from dampdisc.protocols import MC_STRATEGIES
 from dampdisc.strategies import (
     ChannelPair,
     adaptive_forward_optimal,
@@ -27,6 +29,7 @@ from dampdisc.sweep import (
     POLAR_CURVE_ANGLES,
     PRESETS,
     STRATEGIES,
+    STRATEGY_TABLE,
     ConsistencyError,
     SweepConfig,
     SweepGrid,
@@ -257,12 +260,28 @@ class TestRunSweep:
         assert format_csv(run_sweep(cfg)) == format_csv(run_sweep(cfg))
         assert format_json(run_sweep(cfg)) == format_json(run_sweep(cfg))
 
-    @pytest.mark.parametrize("fixed", [{}, {"x": 0.37}])
-    def test_backward_sweep_equals_its_point_queries(self, fixed):
-        grid = run_sweep(SweepConfig(strategy="backward", grid_n=3, fixed=fixed))
+    @pytest.mark.parametrize(
+        "strategy, fixed",
+        [(name, {}) for name in STRATEGIES if STRATEGY_TABLE[name].family is None]
+        + [
+            ("one-shot", {"x": 0.37}),
+            ("side-ent", {"y": 0.41}),
+            ("feedback", {"x": 0.6, "alpha": 0.5}),
+            ("two-shot-entangled", {"variant": "even"}),
+            ("two-shot-entangled", {"variant": "even", "x": 0.3}),
+            ("two-shot-product", {"x": 0.45}),
+            ("adaptive", {"x": 0.8}),
+            ("backward", {"x": 0.37}),
+            ("sequential", {"x": 0.55}),
+        ],
+        ids=lambda case: ("-".join(case) or "optimum") if isinstance(case, dict) else case,
+    )
+    def test_sweep_equals_its_point_queries(self, strategy, fixed):
+        # batched or per-pair, a sweep cell is the point query at its pair, bit for bit
+        grid = run_sweep(SweepConfig(strategy=strategy, grid_n=3, fixed=fixed))
         for i, e0 in enumerate(grid.row_values):
             for j, e1 in enumerate(grid.col_values):
-                cfg = SweepConfig(strategy="backward", eta0=float(e0), eta1=float(e1), fixed=fixed)
+                cfg = SweepConfig(strategy=strategy, eta0=float(e0), eta1=float(e1), fixed=fixed)
                 assert grid.values[i, j] == run_point(cfg).value
 
     @staticmethod
@@ -689,6 +708,36 @@ class TestCli:
     def test_missing_config_file_is_io_error(self):
         proc = run_cli("one-shot", "--config", "/nope/cfg.json")
         assert proc.returncode == 3
+
+
+class TestStrategyTable:
+    @staticmethod
+    def readme_rows() -> list[list[str]]:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Strategies", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+    def test_readme_table_matches_the_strategy_table(self):
+        rows = self.readme_rows()
+        assert [name.strip("`") for name, *_ in rows] == list(STRATEGIES)
+        for name, params, trials, _ in rows:
+            name = name.strip("`")
+            listed = () if params == "none" else tuple(p.strip().strip("`") for p in params.split(","))
+            assert listed == STRATEGY_TABLE[name].params, name
+            assert trials == ("yes" if name in MC_STRATEGIES else "no"), name
+
+    def test_every_simulable_strategy_is_a_strategy(self):
+        assert set(MC_STRATEGIES) <= set(STRATEGIES)
+
+    @pytest.mark.parametrize("strategy", [name for name in STRATEGIES if name not in MC_STRATEGIES])
+    def test_trials_on_a_strategy_without_a_protocol_is_one_line_usage_error(self, strategy, capsys):
+        code = cli.main([strategy, "--eta0", "1.2", "--eta1", "0.4", "--trials", "10"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"usage error: strategy {strategy!r} cannot be simulated")
+        assert err.count("\n") == 1
 
 
 class TestFlatObjectiveConventions:
