@@ -105,10 +105,6 @@ class DampingChannel:
         if not 0.0 <= self.eta <= math.pi / 2:
             raise ValueError(f"eta must lie in [0, pi/2], got {self.eta}")
 
-    @property
-    def decay_probability(self) -> float:
-        return math.sin(self.eta) ** 2
-
     def dilation_unitary(self) -> np.ndarray:
         """4x4 system+environment unitary: identity outside the one-excitation block."""
         c, s = math.cos(self.eta), math.sin(self.eta)

@@ -14,11 +14,11 @@ import dataclasses
 import json
 import sys
 
+from .channel import TWO_SHOT_VARIANTS
 from .sweep import (
     FIXED_KEYS,
     PRESETS,
     STRATEGIES,
-    STRATEGY_TABLE,
     ConsistencyError,
     SweepConfig,
     emit,
@@ -61,7 +61,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--x", type=float, help="probe excited-state weight in [0, 1]")
     parser.add_argument("--y", type=float, help="idle reference weight in [0, 1]")
     parser.add_argument("--alpha", type=float, help="feedback measurement angle in [0, pi/2]")
-    parser.add_argument("--variant", choices=("odd", "even"), help="entangled two-probe input variant")
+    parser.add_argument("--variant", choices=TWO_SHOT_VARIANTS, help="entangled two-probe input variant")
     parser.add_argument("--grid", type=int, dest="grid_n", help="grid points per axis (sweep mode)")
     parser.add_argument("--eta0-range", nargs=2, type=float, metavar=("LO", "HI"))
     parser.add_argument("--eta1-range", nargs=2, type=float, metavar=("LO", "HI"))
@@ -103,23 +103,16 @@ def _merged_settings(args: argparse.Namespace) -> dict:
 
 def _build_config(target: str, merged: dict) -> tuple[SweepConfig, str]:
     if target in PRESETS:
-        preset = PRESETS[target]
-        kwargs: dict = {"strategy": preset.strategy, "preset": target, "grid_n": preset.grid_n}
-        mode = "sweep"
-    elif target in STRATEGIES:
-        kwargs = {"strategy": target, "grid_n": STRATEGY_TABLE[target].grid_n}
-        if "trials" in merged:
-            mode = "mc"
-        elif any(key in merged for key in ("grid_n", "eta0_range", "eta1_range")):
-            mode = "sweep"
-        else:
-            mode = "point"
-    else:
+        return SweepConfig(preset=target, **merged), "sweep"
+    if target not in STRATEGIES:
         raise ValueError(f"unknown strategy or preset {target!r}")
-    for key in _CONFIG_KEYS:
-        if key in merged:
-            kwargs[key] = merged[key]
-    return SweepConfig(**kwargs), mode
+    if "trials" in merged:
+        mode = "mc"
+    elif any(key in merged for key in ("grid_n", "eta0_range", "eta1_range")):
+        mode = "sweep"
+    else:
+        mode = "point"
+    return SweepConfig(strategy=target, **merged), mode
 
 
 def main(argv: "list[str] | None" = None) -> int:

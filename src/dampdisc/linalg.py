@@ -42,11 +42,11 @@ def max_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m, name)
     asym = max_asymmetry(a)
-    if asym > tol:
-        raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {tol:.1e}")
+    if asym > HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return a
 
 
@@ -108,15 +108,15 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(np.round(v.real, 12)) + tuple(np.round(v.imag, 12))
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     """Deterministic spectral decomposition of a Hermitian matrix.
 
-    Rejects non-Hermitian input (beyond ``tol``) with a diagnostic naming the
-    maximal asymmetry.  Exactly equal eigenvalues are ordered by descending
-    lexicographic comparison of the phase-fixed eigenvector components, so the
-    output is a pure function of the input bits.
+    Rejects non-Hermitian input (beyond ``HERMITICITY_TOL``) with a
+    diagnostic naming the maximal asymmetry.  Exactly equal eigenvalues are
+    ordered by descending lexicographic comparison of the phase-fixed
+    eigenvector components, so the output is a pure function of the input bits.
     """
-    a = check_hermitian(m, tol)
+    a = check_hermitian(m)
     h = 0.5 * (a + a.conj().T)
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals, kind="stable")
@@ -141,9 +141,9 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposi
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def trace_norm(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    a = check_hermitian(m, tol)
+    a = check_hermitian(m)
     return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (a + a.conj().T)))))
 
 
@@ -173,8 +173,8 @@ def partial_trace(m: np.ndarray, subsystem: str) -> np.ndarray:
     raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
 
 
-def matrix_exp_skew(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def matrix_exp_skew(h: np.ndarray) -> np.ndarray:
     """Unitary exp(-i h) for Hermitian h, via its eigendecomposition."""
-    dec = hermitian_eig(h, tol)
+    dec = hermitian_eig(h)
     phases = np.exp(-1j * dec.eigenvalues)
     return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T

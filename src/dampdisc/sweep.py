@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from .channel import TWO_SHOT_VARIANTS
 from .discrimination import MAX_TRIALS, monte_carlo_psucc
 from .protocols import MC_STRATEGIES, build_protocol
 from .strategies import (
@@ -66,8 +67,6 @@ from .strategies import (
 
 HALF_PI = math.pi / 2
 
-FIXED_KEYS = ("x", "y", "alpha", "variant")
-
 VALUE_CHECK_TOL = 1e-8
 ARGMAX_CHECK_TOL = 1e-3
 IDENTITY_CHECK_TOL = 1e-9
@@ -77,6 +76,7 @@ MC_EXACT_GAP = 1e-12  # an estimate this close to the analytic value has z = 0
 
 POLAR_CURVE_ANGLES = (0.0, math.pi / 6, math.pi / 3)
 POLAR_GRID_DEFAULT = 91
+_RECORD_GRID = object()  # grid_n not given: the preset's grid, or else the strategy's
 
 GridCell = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -98,8 +98,8 @@ def _in_range(value, lo: float, hi: float) -> bool:
 class SweepConfig:
     """Everything needed to reproduce one evaluation, sweep or simulation."""
 
-    strategy: str
-    grid_n: int = 25
+    strategy: str | None = None
+    grid_n: int = _RECORD_GRID  # type: ignore[assignment]
     eta0_range: tuple = (0.0, HALF_PI)
     eta1_range: tuple = (0.0, HALF_PI)
     fixed: dict = field(default_factory=dict)
@@ -117,13 +117,24 @@ class SweepConfig:
         Real fields must be int or float (not bool) inside a closed range,
         which also rules out NaN and infinities; integer fields must be int.
         Each real field is stored as float(v) + 0.0, so -0.0 reads back as 0.0.
+        A preset supplies the strategy, and an omitted grid_n is the preset's
+        grid, or else the strategy record's.
         """
+        record = None
+        if self.preset is not None:
+            if not isinstance(self.preset, str) or self.preset not in PRESETS:
+                raise ValueError(f"unknown preset {self.preset!r}")
+            record = PRESETS[self.preset]
+            if self.strategy is None:
+                object.__setattr__(self, "strategy", record.strategy)
+            elif self.strategy != record.strategy:
+                raise ValueError(f"preset {self.preset} is a {record.strategy} sweep, not {self.strategy!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose one of {', '.join(STRATEGIES)}"
             )
-        if self.preset is not None and (not isinstance(self.preset, str) or self.preset not in PRESETS):
-            raise ValueError(f"unknown preset {self.preset!r}")
+        if self.grid_n is _RECORD_GRID:
+            object.__setattr__(self, "grid_n", (record or STRATEGY_TABLE[self.strategy]).grid_n)
         if not _is_int(self.grid_n) or self.grid_n < 2:
             raise ValueError(f"grid_n must be an integer >= 2, got {self.grid_n!r}")
         for name in ("eta0_range", "eta1_range"):
@@ -156,7 +167,7 @@ class SweepConfig:
                     raise ValueError(f"{key} must lie in [0, {hi_text}], got {fixed[key]!r}")
                 fixed[key] = float(fixed[key]) + 0.0
         object.__setattr__(self, "fixed", fixed)
-        if "variant" in self.fixed and self.fixed["variant"] not in ("odd", "even"):
+        if "variant" in self.fixed and self.fixed["variant"] not in TWO_SHOT_VARIANTS:
             raise ValueError(f"variant must be odd or even, got {self.fixed['variant']!r}")
         if self.preset is not None and self.fixed:
             raise ValueError(
@@ -264,9 +275,8 @@ class FigurePreset:
     grid_n: int = 25
 
     def config(self, grid_n: int | None = None) -> SweepConfig:
-        return SweepConfig(
-            strategy=self.strategy, grid_n=grid_n or self.grid_n, preset=self.id
-        )
+        """The preset's sweep; grid_n None is its default grid."""
+        return SweepConfig(preset=self.id, grid_n=_RECORD_GRID if grid_n is None else grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +660,7 @@ def _metadata(cfg: SweepConfig) -> dict:
 
 
 def _polar_family(cfg: SweepConfig) -> SweepGrid:
-    if cfg.preset == "fig2new":
+    if cfg.preset is not None:
         angles = POLAR_CURVE_ANGLES
     else:
         if cfg.eta1 is None:
@@ -677,7 +687,7 @@ class Strategy:
     sweep (None: one point query per cell).  A strategy with a ``family``
     runs over an axis of its own instead: ``point(cfg)`` and ``family(cfg)``
     take the whole config, and a sweep rejects range flags too.  ``grid_n``
-    is the CLI's default grid.
+    is the default grid of a sweep without a preset.
     """
 
     params: tuple
@@ -711,6 +721,7 @@ STRATEGY_TABLE = {
     "polar-curve": Strategy((), _point_polar, family=_polar_family, grid_n=POLAR_GRID_DEFAULT),
 }
 STRATEGIES = tuple(STRATEGY_TABLE)
+FIXED_KEYS = tuple(dict.fromkeys(key for record in STRATEGY_TABLE.values() for key in record.params))
 
 
 def run_point(cfg: SweepConfig) -> PointReport:

@@ -1,5 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def package_env() -> dict:
+    """Environment for a subprocess that imports dampdisc from src/, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

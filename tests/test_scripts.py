@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from conftest import package_env
 
 from dampdisc.sweep import PRESETS
 
@@ -13,13 +15,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
     )
 
 
@@ -33,6 +34,15 @@ def test_regen_figure_data_writes_every_preset_byte_identically(tmp_path):
     assert len(names) == 11
     for name in names:
         assert (outdirs[0] / name).read_bytes() == (outdirs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_regen_figure_data_rejects_a_grid_below_two(tmp_path, grid):
+    proc = run_script("regen_figure_data.py", "--grid", grid, "--outdir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"usage error: grid_n must be an integer >= 2, got {grid}\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_mc_check_passes_for_every_simulable_strategy():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import package_env
 
 from dampdisc import cli, strategies, sweep
 from dampdisc.discrimination import Protocol
@@ -57,10 +58,16 @@ BATCHED_PRESET_DEFINITIONS = {
 }
 
 
-def run_cli(*args: str, **kwargs):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=120, **kwargs
-    )
+def run_cli(*args: str):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=120, env=package_env())
+
+
+def readme_rows(heading: str) -> list[list[str]]:
+    """The cells of each row of the README table under ``heading`` whose first cell is code."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
 
 
 class TestSweepConfig:
@@ -133,6 +140,32 @@ class TestSweepConfig:
             assert type(rng) is tuple
             assert all(type(v) is float for v in rng)
         assert cfg.eta0_range == (0.0, 1.0)
+
+    @pytest.mark.parametrize("preset", ["fig7", "fig2new"])
+    def test_rejects_a_strategy_the_preset_does_not_use(self, preset):
+        with pytest.raises(ValueError, match=f"preset {preset} is a .* sweep, not 'one-shot'"):
+            SweepConfig(strategy="one-shot", preset=preset)
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_preset_alone_resolves_its_config(self, name):
+        cfg = SweepConfig(preset=name)
+        assert cfg == PRESETS[name].config()
+        assert cfg.strategy == PRESETS[name].strategy
+        assert cfg.grid_n == PRESETS[name].grid_n
+        assert SweepConfig(strategy=cfg.strategy, preset=name) == cfg
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_omitted_grid_is_the_strategy_default(self, strategy):
+        assert SweepConfig(strategy=strategy).grid_n == STRATEGY_TABLE[strategy].grid_n
+
+    @pytest.mark.parametrize("grid_n", [0, 1, None])
+    def test_given_grid_is_checked(self, grid_n):
+        # None means the default only in FigurePreset.config, never in SweepConfig
+        with pytest.raises(ValueError, match="grid_n must be an integer >= 2"):
+            SweepConfig(preset="fig7", grid_n=grid_n)
+        if grid_n is not None:
+            with pytest.raises(ValueError, match="grid_n must be an integer >= 2"):
+                PRESETS["fig7"].config(grid_n=grid_n)
 
     def test_real_fields_store_negative_zero_as_zero(self):
         cfg = SweepConfig(
@@ -411,6 +444,21 @@ class TestPresets:
         for row, eta1 in zip(family.values, family.row_values):
             assert row[0] == pytest.approx(0.0, abs=1e-12)
             assert row[-1] == pytest.approx(2.0 * math.cos(eta1) ** 2, abs=1e-9)
+
+    def test_polar_sweep_without_grid_matches_the_cli(self):
+        grid = run_sweep(SweepConfig(strategy="polar-curve", eta1=0.5))
+        assert grid.values.shape == (1, 91)
+        proc = run_cli("polar-curve", "--eta1", "0.5", "--eta0-range", "0", repr(HALF_PI), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == format_json(grid)
+
+    def test_readme_table_matches_the_presets(self):
+        rows = readme_rows("### Figure presets")
+        assert [name.strip("`") for name, *_ in rows] == list(PRESETS)
+        for name, _, grid_cell in rows:
+            cfg = SweepConfig(preset=name.strip("`"))
+            polar = STRATEGY_TABLE[cfg.strategy].family is not None
+            assert grid_cell == (f"{cfg.grid_n} points" if polar else f"{cfg.grid_n}x{cfg.grid_n}"), name
 
     def test_polar_sweep_for_single_angle_needs_eta1(self):
         with pytest.raises(ValueError, match="eta1"):
@@ -705,21 +753,23 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "trials = 9223372036854775807" in proc.stdout
 
+    @pytest.mark.parametrize("argv", [("one-shot", "--eta0-range", "0", "1"), ("fig7",)])
+    def test_null_grid_in_config_file_is_one_line_usage_error(self, tmp_path, argv):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid_n": None}))
+        proc = run_cli(*argv, "--config", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == "usage error: grid_n must be an integer >= 2, got None\n"
+        assert proc.stdout == ""
+
     def test_missing_config_file_is_io_error(self):
         proc = run_cli("one-shot", "--config", "/nope/cfg.json")
         assert proc.returncode == 3
 
 
 class TestStrategyTable:
-    @staticmethod
-    def readme_rows() -> list[list[str]]:
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = text.split("## Strategies", 1)[1].split("\n## ", 1)[0]
-        rows = [line for line in section.splitlines() if line.startswith("| `")]
-        return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
-
     def test_readme_table_matches_the_strategy_table(self):
-        rows = self.readme_rows()
+        rows = readme_rows("## Strategies")
         assert [name.strip("`") for name, *_ in rows] == list(STRATEGIES)
         for name, params, trials, _ in rows:
             name = name.strip("`")
