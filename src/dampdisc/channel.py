@@ -22,6 +22,7 @@ from .linalg import check_density_matrix, projector, tensor
 KRAUS_COMPLETENESS_TOL = 1e-12
 
 TWO_SHOT_VARIANTS = ("odd", "even")
+DEFAULT_VARIANT = TWO_SHOT_VARIANTS[0]  # the entangled two-probe input when none is named
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import sys
 from .channel import TWO_SHOT_VARIANTS
 from .sweep import (
     FIXED_KEYS,
+    FIXED_RANGES,
     PRESETS,
     STRATEGIES,
     ConsistencyError,
@@ -58,9 +59,8 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--eta0", type=float, help="first channel angle in [0, pi/2]")
     parser.add_argument("--eta1", type=float, help="second channel angle in [0, pi/2]")
-    parser.add_argument("--x", type=float, help="probe excited-state weight in [0, 1]")
-    parser.add_argument("--y", type=float, help="idle reference weight in [0, 1]")
-    parser.add_argument("--alpha", type=float, help="feedback measurement angle in [0, pi/2]")
+    for key, (_, hi_text, what) in FIXED_RANGES.items():
+        parser.add_argument(f"--{key}", type=float, help=f"{what} in [0, {hi_text}]")
     parser.add_argument("--variant", choices=TWO_SHOT_VARIANTS, help="entangled two-probe input variant")
     parser.add_argument("--grid", type=int, dest="grid_n", help="grid points per axis (sweep mode)")
     parser.add_argument("--eta0-range", nargs=2, type=float, metavar=("LO", "HI"))

@@ -1,11 +1,11 @@
 """Minimum-error two-hypothesis discrimination primitives.
 
 Contains the optimal binary measurement for arbitrary priors, the pure-state
-overlap bound, derivative-free scalar maximizers (one objective, or many
-cells at once) and a deterministic Monte Carlo engine for finite measurement
-trees.  All optimizers are grid + golden-section: the objectives downstream
-involve trace norms, which are only piecewise smooth (kinks at eigenvalue
-crossings), so derivative-based methods are the wrong tool.
+overlap bound, derivative-free scalar maximizers (one objective, or a batch of
+cells, where one cell runs the scalar loop) and a deterministic Monte Carlo
+engine for finite measurement trees.  All optimizers are grid + golden-section:
+the objectives downstream involve trace norms, which are only piecewise smooth
+(kinks at eigenvalue crossings), so derivative-based methods are the wrong tool.
 
 The engine draws the counts of each tree node's children from one
 multinomial, which is the distribution that simulating every trial on its own
@@ -195,17 +195,26 @@ def maximize_scalar_cells(
 
     ``f(idx, xs)`` evaluates the objectives of the cells ``idx`` (an index
     array of shape (m,), which may repeat a cell) at ``xs``, which broadcasts
-    against shape (m, 1), and returns an (m, k) array.  The grid is scanned
-    ``CELL_CHUNK`` cells at a time; the golden refinement then runs on all
-    cells together, each on its own bracket, and a cell drops out as soon as
-    its bracket is shorter than ``tol``.  Brackets differ in length (an argmax
-    on the edge of the grid gives one grid step, an interior one two), so
-    cells stop after different iteration counts.  Each cell ends with the
-    (x, value) that ``maximize_scalar`` returns for its objective alone,
-    ``scan`` (same signature as ``f``) included.
+    against shape (m, 1), and returns an (m, k) array.  The batch size alone
+    picks the loop: one cell runs ``maximize_scalar`` on its row, with ``idx``
+    the view ``slice(0, 1)``.  More cells scan the grid ``CELL_CHUNK`` cells
+    at a time; the golden refinement then runs on all cells together, each on
+    its own bracket, and a cell drops out as soon as its bracket is shorter
+    than ``tol``.  Brackets differ in length (an argmax on the edge of the
+    grid gives one grid step, an interior one two), so cells stop after
+    different iteration counts.  Each cell ends with the (x, value) that
+    ``maximize_scalar`` returns for its objective alone, ``scan`` (same
+    signature as ``f``) included.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if n_cells == 1:
+        one = slice(0, 1)  # a view: cheaper to take in every call than an index array
+
+        def row(g):
+            return None if g is None else lambda t: g(one, t[None, :])[0]
+        x, y = maximize_scalar(row(f), lo, hi, grid_points=grid_points, tol=tol, scan=row(scan))
+        return np.array([x]), np.array([y])
     xs = np.linspace(lo, hi, grid_points)
     best_i = np.empty(n_cells, dtype=np.intp)
     best_y = np.empty(n_cells)

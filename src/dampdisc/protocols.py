@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .channel import InputState, SideEntangledInput
+from .channel import DEFAULT_VARIANT
 from .discrimination import PriorPair, Protocol, helstrom, helstrom_psucc
 from .linalg import hermitian_eig, projector
 from .strategies import (
@@ -23,12 +23,17 @@ from .strategies import (
     adaptive_forward_psucc,
     backward_adaptive_measurement,
     feedback_conditional_states,
+    feedback_optimal,
     feedback_psucc,
     one_shot_optimal,
+    sequential_outputs,
     sequential_two_shot_optimal,
     side_ent_optimal,
+    side_ent_outputs,
     two_shot_entangled_optimal,
+    two_shot_entangled_outputs,
     two_shot_product_optimal,
+    two_shot_product_outputs,
 )
 
 UNREACHABLE_ROW = (0.5, 0.5)  # never sampled; keeps rows normalized
@@ -49,36 +54,6 @@ def _binary_helstrom_protocol(name: str, rho0: np.ndarray, rho1: np.ndarray) -> 
         decisions=np.array([0, 1]),
         analytic_psucc=helstrom_psucc(rho0, rho1),
     )
-
-
-def one_shot_protocol(pair: ChannelPair, x: float) -> Protocol:
-    rho0, rho1 = pair.output_pair(x)
-    return _binary_helstrom_protocol("one-shot", rho0, rho1)
-
-
-def side_entangled_protocol(pair: ChannelPair, y: float) -> Protocol:
-    inp = SideEntangledInput(y)
-    rho0 = pair.channel0.side_entangled_output(inp)
-    rho1 = pair.channel1.side_entangled_output(inp)
-    return _binary_helstrom_protocol("side-ent", rho0, rho1)
-
-
-def two_shot_entangled_protocol(pair: ChannelPair, variant: str, x: float) -> Protocol:
-    rho0 = pair.channel0.two_shot_entangled_output(variant, x)
-    rho1 = pair.channel1.two_shot_entangled_output(variant, x)
-    return _binary_helstrom_protocol(f"two-shot-entangled-{variant}", rho0, rho1)
-
-
-def two_shot_product_protocol(pair: ChannelPair, x: float) -> Protocol:
-    rho0, rho1 = pair.output_pair(x)
-    return _binary_helstrom_protocol("two-shot-product", np.kron(rho0, rho0), np.kron(rho1, rho1))
-
-
-def sequential_protocol(pair: ChannelPair, x: float) -> Protocol:
-    inp = InputState(x)
-    rho0 = pair.channel0.apply(pair.channel0.output_state(inp))
-    rho1 = pair.channel1.apply(pair.channel1.output_state(inp))
-    return _binary_helstrom_protocol("sequential", rho0, rho1)
 
 
 def _pure_branch_effects(
@@ -236,20 +211,27 @@ def _or_optimum(params: dict, key: str, optimal, *args) -> float:
 
 
 def _two_shot_entangled(pair: ChannelPair, params: dict) -> Protocol:
-    variant = params.get("variant", "odd")
+    variant = params.get("variant", DEFAULT_VARIANT)
     x = _or_optimum(params, "x", two_shot_entangled_optimal, pair, variant)
-    return two_shot_entangled_protocol(pair, variant, x)
+    outputs = two_shot_entangled_outputs(pair, variant, x)
+    return _binary_helstrom_protocol(f"two-shot-entangled-{variant}", *outputs)
 
 
 # strategy name -> builder(pair, params); the lambdas look the optimizers up at call
 # time, so a patched or traced binding is the one that runs
 _BUILDERS = {
-    "one-shot": lambda pair, p: one_shot_protocol(pair, _or_optimum(p, "x", one_shot_optimal, pair)),
-    "side-ent": lambda pair, p: side_entangled_protocol(pair, _or_optimum(p, "y", side_ent_optimal, pair)),
-    "feedback": lambda pair, p: feedback_protocol(pair, p.get("x", 1.0), p.get("alpha", math.pi / 4)),
+    "one-shot": lambda pair, p: _binary_helstrom_protocol(
+        "one-shot", *pair.output_pair(_or_optimum(p, "x", one_shot_optimal, pair))
+    ),
+    "side-ent": lambda pair, p: _binary_helstrom_protocol(
+        "side-ent", *side_ent_outputs(pair, _or_optimum(p, "y", side_ent_optimal, pair))
+    ),
+    "feedback": lambda pair, p: feedback_protocol(
+        pair, *(_or_optimum(p, key, feedback_optimal, pair) for key in ("x", "alpha"))
+    ),
     "two-shot-entangled": _two_shot_entangled,
-    "two-shot-product": lambda pair, p: two_shot_product_protocol(
-        pair, _or_optimum(p, "x", two_shot_product_optimal, pair)
+    "two-shot-product": lambda pair, p: _binary_helstrom_protocol(
+        "two-shot-product", *two_shot_product_outputs(pair, _or_optimum(p, "x", two_shot_product_optimal, pair))
     ),
     "adaptive": lambda pair, p: adaptive_forward_protocol(
         pair, _or_optimum(p, "x", adaptive_forward_optimal, pair)
@@ -259,8 +241,8 @@ _BUILDERS = {
     "backward": lambda pair, p: backward_adaptive_protocol(
         pair, _or_optimum(p, "x", adaptive_forward_optimal, pair)
     ),
-    "sequential": lambda pair, p: sequential_protocol(
-        pair, _or_optimum(p, "x", sequential_two_shot_optimal, pair)
+    "sequential": lambda pair, p: _binary_helstrom_protocol(
+        "sequential", *sequential_outputs(pair, _or_optimum(p, "x", sequential_two_shot_optimal, pair))
     ),
 }
 MC_STRATEGIES = tuple(_BUILDERS)

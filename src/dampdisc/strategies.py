@@ -3,12 +3,12 @@
 Each quantity has two independent routes: a numeric construction (channel
 outputs fed into the optimal-measurement machinery), which is the ground
 truth, and one closed or batched form, cross-checked against the construction
-in the tests and in every point evaluation.  The second form takes arrays of
-parameter values, so the maximizers evaluate a whole grid in one numpy pass:
-either a closed form that broadcasts (``one_shot_psucc``,
-``side_ent_gain_expression``) or a private helper with suffix ``_batch``.
-Given a PairArrays instead of a ChannelPair, the forms that figure presets
-need also run over many channel pairs at once.
+in the tests and in every point evaluation; the construction takes its channel
+outputs from a ``_outputs`` function, as the Monte Carlo tree does.  The second
+form takes arrays of parameter values, so the maximizers evaluate a whole grid
+in one numpy pass: a closed form that broadcasts or a helper with suffix
+``_batch``.  Given a PairArrays, these forms run over many channel pairs at
+once, and an optimum on them gives a single pair's as its one row.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ class PairArrays(NamedTuple):
         """One pair per row, from 1-D arrays of ordered angles."""
         return cls(np.asarray(eta0, dtype=float)[:, None], np.asarray(eta1, dtype=float)[:, None])
 
+    @classmethod
+    def of(cls, pair: ChannelPair) -> "PairArrays":
+        """The one row of a single ChannelPair."""
+        return cls.columns([pair.eta0], [pair.eta1])
+
     def take(self, idx: np.ndarray) -> "PairArrays":
         return PairArrays(self.eta0[idx], self.eta1[idx])
 
@@ -166,11 +171,6 @@ def _trace_norm_2x2(t: np.ndarray, det: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(t), np.sqrt(np.maximum(t * t - 4.0 * det, 0.0)))
 
 
-def _cos(eta):
-    """math.cos of one angle (the ChannelPair route), np.cos of an angle array."""
-    return np.cos(eta) if isinstance(eta, np.ndarray) else math.cos(eta)
-
-
 def _checked_psucc(psucc: np.ndarray) -> np.ndarray:
     """The [1/2, 1] range check of StrategyResult, on every cell of a batch."""
     outside = ~((0.5 - PSUCC_SLACK <= psucc) & (psucc <= 1.0 + PSUCC_SLACK))
@@ -181,7 +181,7 @@ def _checked_psucc(psucc: np.ndarray) -> np.ndarray:
 
 def _output_entries(eta, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries (00, 01, 11) of the single-use output, broadcast over eta and x."""
-    c = _cos(eta)
+    c = np.cos(eta)
     off = c * np.sqrt(np.clip(x * (1.0 - x), 0.0, None))
     pop = x * c * c
     return 1.0 - pop, off, pop
@@ -246,12 +246,15 @@ def damping_polar_curve(eta1: float, n_points: int) -> list[PolarCurvePoint]:
 # single use, entangled reference
 
 
+def side_ent_outputs(pair: ChannelPair, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference-probe outputs: the probe through each channel, the reference idle."""
+    inp = SideEntangledInput(y)
+    return pair.channel0.side_entangled_output(inp), pair.channel1.side_entangled_output(inp)
+
+
 def side_ent_psucc(pair: ChannelPair, y: float) -> float:
     """Success probability with an idle reference qubit, measured jointly."""
-    inp = SideEntangledInput(y)
-    out0 = pair.channel0.side_entangled_output(inp)
-    out1 = pair.channel1.side_entangled_output(inp)
-    return helstrom_psucc(out0, out1)
+    return helstrom_psucc(*side_ent_outputs(pair, y))
 
 
 def side_ent_gain_expression(pair: ChannelPair | PairArrays, y) -> float | np.ndarray:
@@ -261,7 +264,7 @@ def side_ent_gain_expression(pair: ChannelPair | PairArrays, y) -> float | np.nd
     is 1/2 plus a quarter of it.  A PairArrays broadcasts against y.
     """
     ys = np.asarray(y, dtype=float)
-    c0, c1 = _cos(pair.eta0), _cos(pair.eta1)
+    c0, c1 = np.cos(pair.eta0), np.cos(pair.eta1)
     g = c0 + c1
     inner = (1.0 - ys) * (4.0 * ys + (1.0 - ys) * g * g)
     out = (c1 - c0) * ((1.0 - ys) * g + np.sqrt(np.clip(inner, 0.0, None)))
@@ -270,8 +273,7 @@ def side_ent_gain_expression(pair: ChannelPair | PairArrays, y) -> float | np.nd
 
 def side_ent_optimal(pair: ChannelPair) -> StrategyResult:
     """Closed-form optimal reference weight, success probability evaluated numerically."""
-    g = pair.gamma
-    y_star = 0.0 if g >= 2.0 else max(0.0, (g - 1.0) / (g - 2.0))
+    y_star = float(_side_ent_optimal_batch(PairArrays.of(pair))[0][0])
     return StrategyResult(psucc=side_ent_psucc(pair, y_star), params={"y": y_star})
 
 
@@ -280,7 +282,7 @@ def side_ent_optimal_numeric(pair: ChannelPair) -> tuple[float, float]:
 
 
 def _side_ent_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
-    """side_ent_optimal for column pairs: (y*, psucc), one entry per row.
+    """Closed-form optimal reference weight for column pairs: (y*, psucc), one entry per row.
 
     The success probability comes from the closed-form separation rather than
     the Kraus construction, so it may differ from side_ent_optimal by rounding.
@@ -450,11 +452,14 @@ def feedback_optimal_numeric(pair: ChannelPair) -> tuple[float, float, float]:
 # two uses, entangled or product probes, collective measurement
 
 
+def two_shot_entangled_outputs(pair: ChannelPair, variant: str, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs of the two-probe entangled input, each probe through its own use."""
+    return tuple(ch.two_shot_entangled_output(variant, x) for ch in (pair.channel0, pair.channel1))
+
+
 def two_shot_entangled_psucc(pair: ChannelPair, variant: str, x: float) -> float:
     """Collective discrimination of the two-probe entangled input outputs."""
-    out0 = pair.channel0.two_shot_entangled_output(variant, x)
-    out1 = pair.channel1.two_shot_entangled_output(variant, x)
-    return helstrom_psucc(out0, out1)
+    return helstrom_psucc(*two_shot_entangled_outputs(pair, variant, x))
 
 
 def _two_shot_ent_values_batch(pair: ChannelPair, variant: str, xs: np.ndarray) -> np.ndarray:
@@ -505,10 +510,15 @@ def two_shot_entangled_optimal(pair: ChannelPair, variant: str) -> StrategyResul
     return StrategyResult(psucc=psucc, params={"x": x_star})
 
 
+def two_shot_product_outputs(pair: ChannelPair, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs of the twice-repeated bare probe: rho (x) rho under each hypothesis."""
+    rho0, rho1 = pair.output_pair(x)
+    return np.kron(rho0, rho0), np.kron(rho1, rho1)
+
+
 def two_shot_product_psucc(pair: ChannelPair, x: float) -> float:
     """Collective discrimination of the twice-repeated bare probe outputs."""
-    rho0, rho1 = pair.output_pair(x)
-    return helstrom_psucc(np.kron(rho0, rho0), np.kron(rho1, rho1))
+    return helstrom_psucc(*two_shot_product_outputs(pair, x))
 
 
 def _product_delta_batch(pair: ChannelPair | PairArrays, xs: np.ndarray) -> np.ndarray:
@@ -597,30 +607,21 @@ def two_shot_product_optimal(pair: ChannelPair) -> StrategyResult:
     eigenvectors are product states (second Schmidt coefficient below
     tolerance), i.e. whether the collective measurement is secretly local.
     """
-    x_star, psucc = maximize_scalar(
-        lambda xs: _two_shot_product_values_batch(pair, xs),
-        0.0,
-        1.0,
-        grid_points=TWO_SHOT_GRID_POINTS,
-        scan=lambda xs: _two_shot_product_scan(pair, xs),
-    )
-    if psucc - 0.5 <= PSUCC_SLACK:
-        # indistinguishable pair: the objective is flat, pin the boundary probe
-        x_star = 1.0
+    (x_star,), (psucc,) = _two_shot_product_optimal_batch(PairArrays.of(pair))
     seconds = _schmidt_second_singular_values(_product_delta_batch(pair, np.asarray(x_star)))
     local = all(s <= SCHMIDT_PRODUCT_TOL for s in seconds)
     return StrategyResult(
-        psucc=psucc,
-        params={"x": x_star},
+        psucc=float(psucc),
+        params={"x": float(x_star)},
         measurement={"local": local, "second_schmidt_coefficients": tuple(seconds)},
     )
 
 
 def _two_shot_product_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
-    """two_shot_product_optimal for column pairs: (x*, psucc), one entry per row.
+    """Two-probe collective optimum for column pairs: (x*, psucc), one entry per row.
 
-    Same grid, refinement and flat-objective rule, so every row equals the
-    pointwise optimum bit for bit; the measurement description is not built.
+    The grid is scanned on the two-copy blocks, the refinement runs on the 4x4
+    route, and a flat objective (indistinguishable pair) pins x* = 1.
     """
     x_star, psucc = maximize_scalar_cells(
         lambda idx, xs: _two_shot_product_values_batch(pairs.take(idx), xs),
@@ -671,12 +672,12 @@ def _adaptive_forward_values_batch(pair: ChannelPair | PairArrays, xs: np.ndarra
 
 
 def adaptive_forward_optimal(pair: ChannelPair) -> StrategyResult:
-    x_star, psucc = maximize_scalar(lambda xs: _adaptive_forward_values_batch(pair, xs), 0.0, 1.0)
-    return StrategyResult(psucc=psucc, params={"x": x_star})
+    (x_star,), (psucc,) = _adaptive_forward_optimal_batch(PairArrays.of(pair))
+    return StrategyResult(psucc=float(psucc), params={"x": float(x_star)})
 
 
 def _adaptive_forward_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.ndarray]:
-    """adaptive_forward_optimal for column pairs: (x*, psucc), one entry per row."""
+    """Forward adaptive optimum for column pairs: (x*, psucc), one entry per row."""
     x_star, psucc = maximize_scalar_cells(
         lambda idx, xs: _adaptive_forward_values_batch(pairs.take(idx), xs),
         len(pairs.eta0),
@@ -696,11 +697,12 @@ def _balanced_feedback_branches(pair: ChannelPair) -> list[tuple]:
     Probe fully excited, environment basis balanced; both outcomes are
     reachable under both hypotheses there.
     """
+    optimum = feedback_optimal(pair).params
     branches = [
         (s0, p0, s1, p1)
         for (s0, p0), (s1, p1) in zip(
-            feedback_conditional_states(pair.channel0, 1.0, math.pi / 4),
-            feedback_conditional_states(pair.channel1, 1.0, math.pi / 4),
+            feedback_conditional_states(pair.channel0, **optimum),
+            feedback_conditional_states(pair.channel1, **optimum),
         )
     ]
     if any(s0 is None or s1 is None for s0, _, s1, _ in branches):
@@ -809,11 +811,11 @@ def _backward_first_step(pair: ChannelPair | PairArrays, xs) -> tuple[np.ndarray
 
     The cells are the pair angles broadcast against ``xs`` (a PairArrays of
     shape (m, 1) against xs of shape (1, k) gives an (m, k) block), and all
-    of them are searched in one ``maximize_scalar_cells`` pass (one cell in a
-    ``maximize_scalar`` search, which returns the same bits).  The
-    backward value depends on the first effect M only through
-    (Tr rho0 M, Tr rho1 M) and is convex there, so its maximum over all
-    effects sits on an extreme point of the reachable set: a projector
+    of them are searched in one ``maximize_scalar_cells`` pass (one cell, as
+    in a point query, takes its scalar loop).  The backward value depends on
+    the first effect M only through (Tr rho0 M, Tr rho1 M) and is convex
+    there, so its maximum over all effects sits on an extreme point of the
+    reachable set: a projector
     P+(cos t rho0 - sin t rho1), t in [0, pi/2], or its complement, which
     scores the same (quantum Neyman-Pearson; Helstrom 1976).  Where that W
     has one eigenvalue of each sign, P+ projects on the Bloch direction of
@@ -831,25 +833,15 @@ def _backward_first_step(pair: ChannelPair | PairArrays, xs) -> tuple[np.ndarray
     bloch = np.stack([a0 - d0, 2.0 * b0, a1 - d1, 2.0 * b1])
     start = np.arctan2(bloch[1], bloch[0])
     span = np.mod(np.arctan2(-bloch[3], -bloch[2]) - start + math.pi, 2.0 * math.pi) - math.pi
-    if entries.shape[1] == 1:
-        # one cell, as in a point query: the same (tau, value) without the
-        # bookkeeping of the cell-batched optimizer
-        tau, value = maximize_scalar(
-            lambda taus: _projector_values_batch(bloch, start + taus * span),
-            0.0,
-            1.0,
-            grid_points=BACKWARD_ARC_GRID_POINTS,
-        )
-    else:
-        tau, value = maximize_scalar_cells(
-            lambda idx, taus: _projector_values_batch(
-                bloch[:, idx, None], start[idx, None] + taus * span[idx, None]
-            ),
-            entries.shape[1],
-            0.0,
-            1.0,
-            grid_points=BACKWARD_ARC_GRID_POINTS,
-        )
+    tau, value = maximize_scalar_cells(
+        lambda idx, taus: _projector_values_batch(
+            bloch[:, idx, None], start[idx, None] + taus * span[idx, None]
+        ),
+        entries.shape[1],
+        0.0,
+        1.0,
+        grid_points=BACKWARD_ARC_GRID_POINTS,
+    )
     forward = _backward_values_batch(entries, FORWARD_T)
     theta_forward = np.arctan2(bloch[1] - bloch[3], bloch[0] - bloch[2])
     use_forward = forward >= value
@@ -919,7 +911,7 @@ def _backward_adaptive_optimal_batch(pairs: PairArrays) -> tuple[np.ndarray, np.
 
 def backward_adaptive_optimal(pair: ChannelPair) -> tuple[float, float]:
     """Best probe weight for the backward strategy: (x*, value)."""
-    x_star, value = _backward_adaptive_optimal_batch(PairArrays.columns([pair.eta0], [pair.eta1]))
+    x_star, value = _backward_adaptive_optimal_batch(PairArrays.of(pair))
     return float(x_star[0]), float(value[0])
 
 
@@ -937,7 +929,7 @@ def _fwd_bwd_difference_batch(pairs: PairArrays) -> np.ndarray:
 
 def fwd_bwd_difference(pair: ChannelPair) -> float:
     """max-over-x forward value minus max-over-x backward value (signed)."""
-    return float(_fwd_bwd_difference_batch(PairArrays.columns([pair.eta0], [pair.eta1]))[0])
+    return float(_fwd_bwd_difference_batch(PairArrays.of(pair))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -952,12 +944,15 @@ def sequential_effective_pair(pair: ChannelPair) -> ChannelPair:
     )
 
 
+def sequential_outputs(pair: ChannelPair, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs of one probe sent through both copies back to back."""
+    rho0, rho1 = pair.output_pair(x)
+    return pair.channel0.apply(rho0), pair.channel1.apply(rho1)
+
+
 def sequential_two_shot_psucc(pair: ChannelPair, x: float) -> float:
     """Both copies applied back to back to one probe, then a single measurement."""
-    inp = InputState(x)
-    out0 = pair.channel0.apply(pair.channel0.output_state(inp))
-    out1 = pair.channel1.apply(pair.channel1.output_state(inp))
-    return helstrom_psucc(out0, out1)
+    return helstrom_psucc(*sequential_outputs(pair, x))
 
 
 def sequential_two_shot_optimal(pair: ChannelPair) -> StrategyResult:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .channel import TWO_SHOT_VARIANTS
+from .channel import DEFAULT_VARIANT, TWO_SHOT_VARIANTS
 from .discrimination import MAX_TRIALS, monte_carlo_psucc
 from .protocols import MC_STRATEGIES, build_protocol
 from .strategies import (
@@ -77,6 +77,13 @@ MC_EXACT_GAP = 1e-12  # an estimate this close to the analytic value has z = 0
 POLAR_CURVE_ANGLES = (0.0, math.pi / 6, math.pi / 3)
 POLAR_GRID_DEFAULT = 91
 _RECORD_GRID = object()  # grid_n not given: the preset's grid, or else the strategy's
+
+# fixed real parameter -> (upper end, its text, what it is); each lies in [0, upper end]
+FIXED_RANGES = {
+    "x": (1.0, "1", "probe excited-state weight"),
+    "y": (1.0, "1", "idle reference weight"),
+    "alpha": (HALF_PI, "pi/2", "feedback measurement angle"),
+}
 
 GridCell = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -161,14 +168,15 @@ class SweepConfig:
             if key not in FIXED_KEYS:
                 raise ValueError(f"unknown fixed parameter {key!r}; allowed: {FIXED_KEYS}")
         fixed = dict(self.fixed)
-        for key, hi, hi_text in (("x", 1.0, "1"), ("y", 1.0, "1"), ("alpha", HALF_PI, "pi/2")):
+        for key, (hi, hi_text, _) in FIXED_RANGES.items():
             if key in fixed:
                 if not _in_range(fixed[key], 0.0, hi):
                     raise ValueError(f"{key} must lie in [0, {hi_text}], got {fixed[key]!r}")
                 fixed[key] = float(fixed[key]) + 0.0
         object.__setattr__(self, "fixed", fixed)
         if "variant" in self.fixed and self.fixed["variant"] not in TWO_SHOT_VARIANTS:
-            raise ValueError(f"variant must be odd or even, got {self.fixed['variant']!r}")
+            choices = " or ".join(TWO_SHOT_VARIANTS)
+            raise ValueError(f"variant must be {choices}, got {self.fixed['variant']!r}")
         if self.preset is not None and self.fixed:
             raise ValueError(
                 f"preset {self.preset} takes no fixed parameters, got {', '.join(sorted(self.fixed))}"
@@ -178,6 +186,8 @@ class SweepConfig:
                 if not _in_range(value, 0.0, HALF_PI):
                     raise ValueError(f"{name} must lie in [0, pi/2], got {value!r}")
                 object.__setattr__(self, name, float(value) + 0.0)
+        if self.preset is not None and self.trials is not None:
+            raise ValueError(f"preset {self.preset} is a sweep and takes no trials, got {self.trials}")
 
     def pair(self) -> ChannelPair:
         if self.eta0 is None or self.eta1 is None:
@@ -272,7 +282,11 @@ class FigurePreset:
     description: str
     strategy: str
     cell: GridCell | None
-    grid_n: int = 25
+    grid_n: int = _RECORD_GRID  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.grid_n is _RECORD_GRID:
+            object.__setattr__(self, "grid_n", STRATEGY_TABLE[self.strategy].grid_n)
 
     def config(self, grid_n: int | None = None) -> SweepConfig:
         """The preset's sweep; grid_n None is its default grid."""
@@ -322,29 +336,28 @@ def _point_side_ent(pair: ChannelPair, fixed: dict) -> PointReport:
 
 
 def _point_feedback(pair: ChannelPair, fixed: dict) -> PointReport:
+    res = feedback_optimal(pair)
     if "x" in fixed or "alpha" in fixed:
-        x = fixed.get("x", 1.0)
-        alpha = fixed.get("alpha", math.pi / 4)
-        value = feedback_psucc(pair, x, alpha)
+        params = {key: fixed.get(key, value) for key, value in res.params.items()}
+        value = feedback_psucc(pair, **params)
         _check_close(
             "feedback construction vs batched evaluation",
             value,
-            float(_feedback_values_batch(pair, x, alpha)),
+            float(_feedback_values_batch(pair, **params)),
             1e-10,
         )
-        return PointReport("feedback", value, "psucc", {"x": x, "alpha": alpha})
-    res = feedback_optimal(pair)
+        return PointReport("feedback", value, "psucc", params)
     _check_close(
         "feedback optimum closed vs construction",
         res.psucc,
-        feedback_psucc(pair, 1.0, math.pi / 4),
+        feedback_psucc(pair, **res.params),
         IDENTITY_CHECK_TOL,
     )
     return PointReport("feedback", res.psucc, "psucc", res.params)
 
 
 def _point_two_shot_entangled(pair: ChannelPair, fixed: dict) -> PointReport:
-    variant = fixed.get("variant", "odd")
+    variant = fixed.get("variant", DEFAULT_VARIANT)
     x = fixed.get("x")
     if x is not None:
         value = two_shot_entangled_psucc(pair, variant, x)
@@ -572,13 +585,92 @@ def _grid_backward(fixed: dict) -> GridCell:
     return cell
 
 
+def _metadata(cfg: SweepConfig) -> dict:
+    meta = {
+        "strategy": cfg.strategy,
+        "grid_n": cfg.grid_n,
+        "eta0_range": list(cfg.eta0_range),
+        "eta1_range": list(cfg.eta1_range),
+        "fixed": dict(sorted(cfg.fixed.items())),
+        "version": __version__,
+    }
+    if cfg.preset is not None:
+        meta["preset"] = cfg.preset
+        meta["description"] = PRESETS[cfg.preset].description
+    return meta
+
+
+def _polar_family(cfg: SweepConfig) -> SweepGrid:
+    if cfg.preset is not None:
+        angles = POLAR_CURVE_ANGLES
+    else:
+        if cfg.eta1 is None:
+            raise ValueError(f"{cfg.strategy} sweep needs --eta1")
+        angles = (cfg.eta1,)
+    values = [[p.radius for p in damping_polar_curve(eta1, cfg.grid_n)] for eta1 in angles]
+    thetas = np.linspace(0.0, HALF_PI, cfg.grid_n)
+    meta = _metadata(cfg)
+    meta["theta_points"] = cfg.grid_n
+    return SweepGrid(POLAR_AXES, np.asarray(angles, dtype=float), thetas, values, meta)
+
+
+# ---------------------------------------------------------------------------
+# the strategy table
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """What the sweep layer and the CLI know of one strategy.
+
+    ``params`` are the fixed parameters it takes; a sweep rejects any other.
+    On the (eta0, eta1) grid, ``point(pair, fixed)`` is the point query with
+    its dual-route check, and ``cells(fixed)`` makes the grid function of a
+    sweep (None: one point query per cell).  A strategy with a ``family``
+    runs over an axis of its own instead: ``point(cfg)`` and ``family(cfg)``
+    take the whole config, and a sweep rejects range flags too.  ``grid_n``
+    is the default grid of its sweeps, and of each preset that states none.
+    """
+
+    params: tuple
+    point: Callable[..., PointReport]
+    cells: Callable[[dict], GridCell] | None = None
+    family: Callable[[SweepConfig], SweepGrid] | None = None
+    grid_n: int = 25
+
+    def query(self, cfg: SweepConfig) -> PointReport:
+        if self.family is not None:
+            return self.point(cfg)
+        return self.point(cfg.pair(), cfg.fixed)
+
+    def grid_cell(self, fixed: dict) -> GridCell:
+        if self.cells is not None:
+            return self.cells(fixed)
+        return _per_pair(lambda pair: self.point(pair, fixed).value)
+
+
+STRATEGY_TABLE = {
+    "one-shot": Strategy(("x",), _point_one_shot),
+    "side-ent": Strategy(("y",), _point_side_ent),
+    "feedback": Strategy(("x", "alpha"), _point_feedback),
+    "two-shot-entangled": Strategy(("x", "variant"), _point_two_shot_entangled),
+    "two-shot-product": Strategy(("x",), _point_two_shot_product),
+    "adaptive": Strategy(("x",), _point_adaptive),
+    "adaptive-fb": Strategy((), _point_adaptive_fb),
+    "backward": Strategy(("x",), _point_backward, cells=_grid_backward),
+    "sequential": Strategy(("x",), _point_sequential),
+    "fwd-bwd-diff": Strategy((), _point_fwd_bwd, cells=lambda fixed: _grid_fwd_bwd),
+    "polar-curve": Strategy((), _point_polar, family=_polar_family, grid_n=POLAR_GRID_DEFAULT),
+}
+STRATEGIES = tuple(STRATEGY_TABLE)
+FIXED_KEYS = tuple(dict.fromkeys(key for record in STRATEGY_TABLE.values() for key in record.params))
+
+
 PRESETS = {
     "fig2new": FigurePreset(
         id="fig2new",
         description="polar separation curves from the ground state for three channel angles",
         strategy="polar-curve",
         cell=None,
-        grid_n=POLAR_GRID_DEFAULT,
     ),
     "fig3": FigurePreset(
         id="fig3",
@@ -642,86 +734,6 @@ PRESETS = {
         grid_n=9,
     ),
 }
-
-
-def _metadata(cfg: SweepConfig) -> dict:
-    meta = {
-        "strategy": cfg.strategy,
-        "grid_n": cfg.grid_n,
-        "eta0_range": list(cfg.eta0_range),
-        "eta1_range": list(cfg.eta1_range),
-        "fixed": dict(sorted(cfg.fixed.items())),
-        "version": __version__,
-    }
-    if cfg.preset is not None:
-        meta["preset"] = cfg.preset
-        meta["description"] = PRESETS[cfg.preset].description
-    return meta
-
-
-def _polar_family(cfg: SweepConfig) -> SweepGrid:
-    if cfg.preset is not None:
-        angles = POLAR_CURVE_ANGLES
-    else:
-        if cfg.eta1 is None:
-            raise ValueError(f"{cfg.strategy} sweep needs --eta1")
-        angles = (cfg.eta1,)
-    values = [[p.radius for p in damping_polar_curve(eta1, cfg.grid_n)] for eta1 in angles]
-    thetas = np.linspace(0.0, HALF_PI, cfg.grid_n)
-    meta = _metadata(cfg)
-    meta["theta_points"] = cfg.grid_n
-    return SweepGrid(POLAR_AXES, np.asarray(angles, dtype=float), thetas, values, meta)
-
-
-# ---------------------------------------------------------------------------
-# the strategy table
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """What the sweep layer and the CLI know of one strategy.
-
-    ``params`` are the fixed parameters it takes; a sweep rejects any other.
-    On the (eta0, eta1) grid, ``point(pair, fixed)`` is the point query with
-    its dual-route check, and ``cells(fixed)`` makes the grid function of a
-    sweep (None: one point query per cell).  A strategy with a ``family``
-    runs over an axis of its own instead: ``point(cfg)`` and ``family(cfg)``
-    take the whole config, and a sweep rejects range flags too.  ``grid_n``
-    is the default grid of a sweep without a preset.
-    """
-
-    params: tuple
-    point: Callable[..., PointReport]
-    cells: Callable[[dict], GridCell] | None = None
-    family: Callable[[SweepConfig], SweepGrid] | None = None
-    grid_n: int = 25
-
-    def query(self, cfg: SweepConfig) -> PointReport:
-        if self.family is not None:
-            return self.point(cfg)
-        return self.point(cfg.pair(), cfg.fixed)
-
-    def grid_cell(self, fixed: dict) -> GridCell:
-        if self.cells is not None:
-            return self.cells(fixed)
-        return _per_pair(lambda pair: self.point(pair, fixed).value)
-
-
-STRATEGY_TABLE = {
-    "one-shot": Strategy(("x",), _point_one_shot),
-    "side-ent": Strategy(("y",), _point_side_ent),
-    "feedback": Strategy(("x", "alpha"), _point_feedback),
-    "two-shot-entangled": Strategy(("x", "variant"), _point_two_shot_entangled),
-    "two-shot-product": Strategy(("x",), _point_two_shot_product),
-    "adaptive": Strategy(("x",), _point_adaptive),
-    "adaptive-fb": Strategy((), _point_adaptive_fb),
-    "backward": Strategy(("x",), _point_backward, cells=_grid_backward),
-    "sequential": Strategy(("x",), _point_sequential),
-    "fwd-bwd-diff": Strategy((), _point_fwd_bwd, cells=lambda fixed: _grid_fwd_bwd),
-    "polar-curve": Strategy((), _point_polar, family=_polar_family, grid_n=POLAR_GRID_DEFAULT),
-}
-STRATEGIES = tuple(STRATEGY_TABLE)
-FIXED_KEYS = tuple(dict.fromkeys(key for record in STRATEGY_TABLE.values() for key in record.params))
 
 
 def run_point(cfg: SweepConfig) -> PointReport:

@@ -176,6 +176,32 @@ class TestMaximizeScalarCells:
             assert points[k] == scalar_points[0]
         assert points[0] == points[1] + 1
 
+    @pytest.mark.parametrize("scanned", [False, True])
+    def test_one_cell_runs_the_scalar_loop(self, scanned):
+        # the block loop scores a cell's first two golden points in one call,
+        # the scalar loop in two, so equal call counts show the scalar loop ran
+        calls = {"cells": 0, "scalar": 0}
+
+        def quadratic(t):
+            return -((t - 0.3) ** 2)
+
+        def cell_scan(idx, xs):
+            return quadratic(np.broadcast_to(xs, (1, np.shape(xs)[-1])))
+
+        def cell(idx, xs):
+            calls["cells"] += 1
+            return cell_scan(idx, xs)
+
+        def scalar(t):
+            calls["scalar"] += 1
+            return quadratic(t)
+
+        x, y = disc.maximize_scalar_cells(cell, 1, 0.0, 1.0, scan=cell_scan if scanned else None)
+        expected = disc.maximize_scalar(scalar, 0.0, 1.0, scan=quadratic if scanned else None)
+        assert x.shape == y.shape == (1,)
+        assert (x[0], y[0]) == expected
+        assert calls["cells"] == calls["scalar"]
+
     def test_chunked_grid_scan_matches_one_cell_at_a_time(self):
         shifts = np.linspace(0.05, 0.95, 2 * disc.CELL_CHUNK + 3)
 

@@ -14,11 +14,6 @@ from dampdisc.protocols import (
     backward_adaptive_protocol,
     build_protocol,
     feedback_protocol,
-    one_shot_protocol,
-    sequential_protocol,
-    side_entangled_protocol,
-    two_shot_entangled_protocol,
-    two_shot_product_protocol,
 )
 from dampdisc.strategies import (
     ChannelPair,
@@ -40,12 +35,12 @@ class TestExactAgainstAnalytic:
     @pytest.mark.parametrize("x", [0.0, 0.3, 2.0 / 3.0, 1.0])
     def test_one_shot(self, x):
         for pair in PAIRS:
-            self.check(one_shot_protocol(pair, x))
+            self.check(build_protocol("one-shot", pair, {"x": x}))
 
     @pytest.mark.parametrize("y", [0.0, 0.2, 0.5])
     def test_side_entangled(self, y):
         for pair in PAIRS:
-            self.check(side_entangled_protocol(pair, y))
+            self.check(build_protocol("side-ent", pair, {"y": y}))
 
     @pytest.mark.parametrize("x,alpha", [(0.5, 0.6), (1.0, math.pi / 4), (0.8, 0.0)])
     def test_feedback(self, x, alpha):
@@ -60,12 +55,12 @@ class TestExactAgainstAnalytic:
     @pytest.mark.parametrize("variant", ["odd", "even"])
     def test_two_shot_entangled(self, variant):
         for pair in PAIRS:
-            self.check(two_shot_entangled_protocol(pair, variant, 0.6))
+            self.check(build_protocol("two-shot-entangled", pair, {"variant": variant, "x": 0.6}))
 
     @pytest.mark.parametrize("x", [0.4, 0.95, 1.0])
     def test_two_shot_product(self, x):
         for pair in PAIRS:
-            self.check(two_shot_product_protocol(pair, x))
+            self.check(build_protocol("two-shot-product", pair, {"x": x}))
 
     @pytest.mark.parametrize("x", [0.1, 0.6, 1.0])
     def test_adaptive_forward(self, x):
@@ -84,7 +79,7 @@ class TestExactAgainstAnalytic:
     @pytest.mark.parametrize("x", [0.3, 1.0])
     def test_sequential(self, x):
         for pair in PAIRS:
-            self.check(sequential_protocol(pair, x))
+            self.check(build_protocol("sequential", pair, {"x": x}))
 
 
 class TestBuildProtocol:

@@ -659,8 +659,8 @@ class TestBackwardAdaptive:
 
 
     def test_one_cell_first_step_equals_the_block_search(self):
-        # a point query searches its one cell with maximize_scalar, a block
-        # with maximize_scalar_cells; both must give the same bits
+        # a point query's one cell takes the scalar loop of
+        # maximize_scalar_cells, a block its masked loop; both must give the same bits
         pairs = seeded_pairs(200, 22)
         xs = np.random.default_rng(23).uniform(0.0, 1.0, 200)
         xs[::9] = 1.0
@@ -725,6 +725,9 @@ class TestStrategyOrdering:
 
 class TestCellBatchedOptima:
     """The cell-batched route against the pointwise one, on a 9x9 grid of pairs.
+
+    A single-pair optimum is a one-row batch, which takes the scalar loop of
+    ``maximize_scalar_cells``, so these compare that loop with the masked one.
 
     The grid holds the diagonal, whose flat objectives take the x = 1 rule,
     and many cells whose grid argmax sits on the edge x = 1.

@@ -158,6 +158,12 @@ class TestSweepConfig:
     def test_omitted_grid_is_the_strategy_default(self, strategy):
         assert SweepConfig(strategy=strategy).grid_n == STRATEGY_TABLE[strategy].grid_n
 
+    def test_omitted_preset_grid_is_the_strategy_grid(self):
+        strategy_grid = {name: STRATEGY_TABLE[preset.strategy].grid_n for name, preset in PRESETS.items()}
+        assert [name for name, preset in PRESETS.items() if preset.grid_n != strategy_grid[name]] == ["fig15"]
+        polar = sweep.FigurePreset(id="polar", description="", strategy="polar-curve", cell=None)
+        assert polar.grid_n == STRATEGY_TABLE["polar-curve"].grid_n
+
     @pytest.mark.parametrize("grid_n", [0, 1, None])
     def test_given_grid_is_checked(self, grid_n):
         # None means the default only in FigurePreset.config, never in SweepConfig
@@ -720,6 +726,17 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == "usage error: preset fig7 takes no fixed parameters, got x\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv", [("fig7", "--trials", "10", "--grid", "2"), ("fig2new", "--trials", "5")]
+    )
+    def test_preset_with_trials_is_one_line_usage_error(self, argv, capsys):
+        # a preset is a sweep, so --trials would have nothing to simulate
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"usage error: preset {argv[0]} is a sweep and takes no trials, got {argv[2]}\n"
 
     @pytest.mark.parametrize(
         "argv, key",
