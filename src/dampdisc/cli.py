@@ -37,18 +37,19 @@ EXIT_IO = 3
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SweepConfig)} - {"strategy", "preset"}
 
 
-class _UsageError(Exception):
-    pass
+class UsageParser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ValueError instead of exiting.
 
+    argparse prints its usage text and exits with status 2; the CLI and the
+    scripts print one ``usage error:`` line and exit with status 1.
+    """
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract here is 1
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> UsageParser:
+    parser = UsageParser(
         prog="dampdisc",
         description="Discrimination strategies for qubit amplitude damping channels.",
     )
@@ -116,13 +117,8 @@ def _build_config(target: str, merged: dict) -> tuple[SweepConfig, str]:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         merged = _merged_settings(args)
         cfg, mode = _build_config(args.target, merged)
         if mode == "point":

@@ -1,9 +1,14 @@
 """Measurement-tree builders for Monte Carlo simulation of each strategy.
 
 Every builder reduces a strategy to a Protocol: conditional outcome tables for
-each measurement stage plus a guess for every outcome history.  The analytic
-success probability travels with the protocol so simulations can be checked
-against it; exact_psucc recomputes it independently from the tables.
+each measurement stage plus a guess for every outcome history.  Every stage
+that ends in a Helstrom measurement at the posterior of the history so far
+takes its rows from ``_posterior_helstrom_rows``: the one-stage trees at
+equal priors, the second copy of ``adaptive`` and ``backward`` and the last
+stage of ``adaptive-fb``.  Only the ``feedback`` system stage differs, since
+one hypothesis alone may reach a branch.  The analytic success probability
+travels with the protocol so simulations can be checked against it;
+exact_psucc recomputes it independently from the tables.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .strategies import (
     adaptive_forward_psucc,
     backward_adaptive_measurement,
     feedback_conditional_states,
-    feedback_optimal,
+    feedback_params,
     feedback_psucc,
     one_shot_optimal,
     sequential_outputs,
@@ -43,29 +48,39 @@ def _outcome_row(rho: np.ndarray, effects: tuple) -> list[float]:
     return [float(np.trace(rho @ e).real) for e in effects]
 
 
+def _posterior_helstrom_rows(rho0: np.ndarray, rho1: np.ndarray, joint0: float, joint1: float) -> tuple:
+    """Both hypotheses' rows of the Helstrom measurement at the posterior of a history.
+
+    The priors are proportional to the history's joint probabilities
+    (joint0, joint1); a history of total probability at most 1e-15 is never
+    reached, and gets the unreachable rows.
+    """
+    total = joint0 + joint1
+    if total <= 1e-15:
+        return UNREACHABLE_ROW, UNREACHABLE_ROW
+    hel = helstrom(rho0, rho1, PriorPair(joint0 / total, joint1 / total))
+    effects = (hel.projector_plus, hel.projector_minus)
+    return _outcome_row(rho0, effects), _outcome_row(rho1, effects)
+
+
 def _binary_helstrom_protocol(name: str, rho0: np.ndarray, rho1: np.ndarray) -> Protocol:
     """One Helstrom measurement on the outputs, scored by ``helstrom_psucc`` of the same outputs."""
-    hel = helstrom(rho0, rho1)
-    effects = (hel.projector_plus, hel.projector_minus)
-    table = np.array([_outcome_row(rho0, effects), _outcome_row(rho1, effects)])
     return Protocol(
         name=name,
-        stage_tables=(table,),
+        stage_tables=(np.array(_posterior_helstrom_rows(rho0, rho1, 0.5, 0.5)),),
         decisions=np.array([0, 1]),
         analytic_psucc=helstrom_psucc(rho0, rho1),
     )
 
 
-def _pure_branch_effects(
-    state0: np.ndarray | None, state1: np.ndarray | None, priors: PriorPair | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Guess-0 / guess-1 effects for a branch holding two conditional pure states.
+def _pure_branch_effects(state0: np.ndarray | None, state1: np.ndarray | None) -> tuple:
+    """Guess-0 / guess-1 effects for a feedback branch holding two conditional pure states.
 
     When only one hypothesis can reach the branch, its projector pins the
-    guess; otherwise the optimal two-state measurement is used.  With equal
-    priors and coinciding states the measurement is balanced so each
-    hypothesis succeeds with probability 1/2, matching the per-branch value
-    the strategy assigns (any measurement is optimal there, but an asymmetric
+    guess; otherwise the equal-prior Helstrom measurement is used.  On
+    coinciding states the measurement is balanced so each hypothesis
+    succeeds with probability 1/2, matching the per-branch value the
+    strategy assigns (any measurement is optimal there, but an asymmetric
     one would simulate a different protocol).
     """
     if state0 is None and state1 is None:
@@ -76,15 +91,12 @@ def _pure_branch_effects(
     if state0 is None:
         p = projector(state1)
         return np.eye(2, dtype=complex) - p, p
-    if priors is None:
-        cross = np.outer(state0, state1)
-        cross = cross - cross.T
-        if float(np.sum(np.abs(cross) ** 2)) < 1e-24:
-            perp = np.array([-np.conj(state0[1]), np.conj(state0[0])])
-            return projector((state0 + perp) / math.sqrt(2.0)), projector(
-                (state0 - perp) / math.sqrt(2.0)
-            )
-    hel = helstrom(projector(state0), projector(state1), priors or PriorPair(0.5, 0.5))
+    cross = np.outer(state0, state1)
+    cross = cross - cross.T
+    if float(np.sum(np.abs(cross) ** 2)) < 1e-24:
+        perp = np.array([-np.conj(state0[1]), np.conj(state0[0])])
+        return projector((state0 + perp) / math.sqrt(2.0)), projector((state0 - perp) / math.sqrt(2.0))
+    hel = helstrom(projector(state0), projector(state1))
     return hel.projector_plus, hel.projector_minus
 
 
@@ -123,16 +135,7 @@ def _two_stage_protocol(
     first = np.array([_outcome_row(rho0, first_effects), _outcome_row(rho1, first_effects)])
     second = np.empty((2, 2, 2))
     for m in range(2):
-        joint0, joint1 = 0.5 * first[0, m], 0.5 * first[1, m]
-        total = joint0 + joint1
-        if total <= 1e-15:
-            second[0, m] = second[1, m] = UNREACHABLE_ROW
-            continue
-        priors = PriorPair(joint0 / total, joint1 / total)
-        hel = helstrom(rho0, rho1, priors)
-        effects = (hel.projector_plus, hel.projector_minus)
-        second[0, m] = _outcome_row(rho0, effects)
-        second[1, m] = _outcome_row(rho1, effects)
+        second[:, m] = _posterior_helstrom_rows(rho0, rho1, 0.5 * first[0, m], 0.5 * first[1, m])
     return Protocol(
         name=name,
         stage_tables=(first, second),
@@ -164,15 +167,13 @@ def adaptive_feedback_protocol(pair: ChannelPair) -> Protocol:
     measurement on the second conditional state.
     """
     branches = _balanced_feedback_branches(pair)
+    projectors = [(projector(phi0), projector(phi1)) for phi0, _, phi1, _ in branches]
     env1 = np.array([[p0 for _, p0, _, _ in branches], [p1 for _, _, _, p1 in branches]])
     system1 = np.empty((2, 2, 2))
-    bases = []
-    for e1, (phi0, _, phi1, _) in enumerate(branches):
-        dec = hermitian_eig(projector(phi0) - projector(phi1))
-        basis = (dec.vector(0), dec.vector(1))
-        bases.append(basis)
+    for e1, ((phi0, _, phi1, _), (proj0, proj1)) in enumerate(zip(branches, projectors)):
+        dec = hermitian_eig(proj0 - proj1)
         for h, phi in ((0, phi0), (1, phi1)):
-            system1[h, e1] = [abs(np.vdot(v, phi)) ** 2 for v in basis]
+            system1[h, e1] = [abs(np.vdot(dec.vector(k), phi)) ** 2 for k in range(2)]
 
     # the second environment outcome e2 does not depend on (e1, k)
     env2 = np.broadcast_to(env1[:, None, None, :], (2, 2, 2, 2)).copy()
@@ -180,20 +181,9 @@ def adaptive_feedback_protocol(pair: ChannelPair) -> Protocol:
     system2 = np.empty((2, 2, 2, 2, 2))
     for e1 in range(2):
         for k in range(2):
-            v = bases[e1][k]
-            like0 = env1[0, e1] * abs(np.vdot(v, branches[e1][0])) ** 2
-            like1 = env1[1, e1] * abs(np.vdot(v, branches[e1][2])) ** 2
-            for e2, (phi0, w0, phi1, w1) in enumerate(branches):
-                joint0 = 0.5 * like0 * w0
-                joint1 = 0.5 * like1 * w1
-                total = joint0 + joint1
-                if total <= 1e-15:
-                    system2[0, e1, k, e2] = system2[1, e1, k, e2] = UNREACHABLE_ROW
-                    continue
-                priors = PriorPair(joint0 / total, joint1 / total)
-                effects = _pure_branch_effects(phi0, phi1, priors)
-                system2[0, e1, k, e2] = _branch_row(phi0, effects)
-                system2[1, e1, k, e2] = _branch_row(phi1, effects)
+            like0, like1 = 0.5 * env1[:, e1] * system1[:, e1, k]
+            for e2, (_, w0, _, w1) in enumerate(branches):
+                system2[:, e1, k, e2] = _posterior_helstrom_rows(*projectors[e2], like0 * w0, like1 * w1)
 
     decisions = np.broadcast_to(np.array([0, 1]), (2, 2, 2, 2)).copy()
     return Protocol(
@@ -226,9 +216,7 @@ _BUILDERS = {
     "side-ent": lambda pair, p: _binary_helstrom_protocol(
         "side-ent", *side_ent_outputs(pair, _or_optimum(p, "y", side_ent_optimal, pair))
     ),
-    "feedback": lambda pair, p: feedback_protocol(
-        pair, *(_or_optimum(p, key, feedback_optimal, pair) for key in ("x", "alpha"))
-    ),
+    "feedback": lambda pair, p: feedback_protocol(pair, **feedback_params(pair, p.get("x"), p.get("alpha"))),
     "two-shot-entangled": _two_shot_entangled,
     "two-shot-product": lambda pair, p: _binary_helstrom_protocol(
         "two-shot-product", *two_shot_product_outputs(pair, _or_optimum(p, "x", two_shot_product_optimal, pair))

@@ -416,6 +416,19 @@ def feedback_optimal(pair: ChannelPair) -> StrategyResult:
     return StrategyResult(psucc=psucc, params={"x": 1.0, "alpha": math.pi / 4})
 
 
+def feedback_params(pair: ChannelPair, x: float | None, alpha: float | None) -> dict:
+    """(x, alpha) with an omitted one at its optimum given the other.
+
+    alpha = pi/4 is optimal at every x, so a given x keeps the optimum's
+    alpha.  x = 1 is optimal only near alpha = pi/4, so a given alpha without
+    x runs ``maximize_scalar`` over x; given both, nothing is searched.
+    """
+    optimum = feedback_optimal(pair).params
+    if x is None and alpha is not None:
+        x, _ = maximize_scalar(lambda xs: _feedback_values_batch(pair, xs, alpha), 0.0, 1.0)
+    return {"x": optimum["x"] if x is None else x, "alpha": optimum["alpha"] if alpha is None else alpha}
+
+
 def feedback_optimal_numeric(pair: ChannelPair) -> tuple[float, float, float]:
     """Coordinate-ascent maximization over (x, alpha); returns (x, alpha, value).
 
@@ -463,50 +476,35 @@ def two_shot_entangled_psucc(pair: ChannelPair, variant: str, x: float) -> float
 
 
 def _two_shot_ent_values_batch(pair: ChannelPair, variant: str, xs: np.ndarray) -> np.ndarray:
+    """Closed-form value of the entangled two-probe input at probe weights ``xs``.
+
+    With c = cos^2 eta, the ``odd`` output difference is sin^2 eta0 - sin^2
+    eta1 on |00> plus c0 - c1 times a rank-one projector: (1 + sin^2 eta0 -
+    sin^2 eta1)/2 at every x.  The ``even`` one is a block on {|00>, |11>} of
+    trace norm 2 |c0 - c1| sqrt x plus x (c0 - c1)(1 - c0 - c1) on each of
+    |01>, |10>: 1/2 + |c0 - c1| (sqrt x + x |1 - c0 - c1|)/2, nondecreasing.
+    """
     xs = np.asarray(xs, dtype=float)
-    delta = np.zeros(xs.shape + (4, 4))
-    root = np.sqrt(np.clip(xs * (1.0 - xs), 0.0, None))
     if variant == "odd":
-        for sign, eta in ((1.0, pair.eta0), (-1.0, pair.eta1)):
-            c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
-            delta[..., 0, 0] += sign * s2
-            delta[..., 1, 1] += sign * (1.0 - xs) * c2
-            delta[..., 2, 2] += sign * xs * c2
-            off = sign * c2 * root
-            delta[..., 1, 2] += off
-            delta[..., 2, 1] += off
-    elif variant == "even":
-        for sign, eta in ((1.0, pair.eta0), (-1.0, pair.eta1)):
-            c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
-            delta[..., 0, 0] += sign * ((1.0 - xs) + xs * s2 * s2)
-            delta[..., 1, 1] += sign * xs * c2 * s2
-            delta[..., 2, 2] += sign * xs * c2 * s2
-            delta[..., 3, 3] += sign * xs * c2 * c2
-            off = sign * c2 * root
-            delta[..., 0, 3] += off
-            delta[..., 3, 0] += off
-    else:
-        raise ValueError(f"variant must be 'odd' or 'even', got {variant!r}")
-    return 0.5 + 0.25 * np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
+        value = 0.5 * (1.0 + math.sin(pair.eta0 - pair.eta1) * math.sin(pair.eta0 + pair.eta1))
+        return np.full(xs.shape, value)
+    if variant == "even":
+        c0, c1 = math.cos(pair.eta0) ** 2, math.cos(pair.eta1) ** 2
+        return 0.5 + 0.5 * abs(c0 - c1) * (np.sqrt(xs) + xs * abs(1.0 - c0 - c1))
+    raise ValueError(f"variant must be 'odd' or 'even', got {variant!r}")
 
 
 def two_shot_entangled_optimal(pair: ChannelPair, variant: str) -> StrategyResult:
     """Best probe weight for an entangled two-probe input, collective measurement.
 
-    The ``odd`` objective does not depend on x: the output difference is
-    sin^2 eta0 - sin^2 eta1 on |00> plus cos^2 eta0 - cos^2 eta1 times a
-    rank-one projector, so every x gives (1 + sin^2 eta0 - sin^2 eta1)/2.  It
-    is reported at x = 0, where ``maximize_scalar`` puts a constant objective.
+    The ``odd`` value does not depend on x and is reported at x = 0.  The
+    ``even`` one grows with x, so its optimum is the product input |11> at
+    x = 1, where it equals ``two_shot_product_psucc(pair, 1)``: entangling
+    the probes gains nothing.  Where it is 1/2 even at x = 1 (identical
+    channels) it is flat, and reported at x = 0.
     """
-    if variant == "odd":
-        psucc = 0.5 * (1.0 + math.sin(pair.eta0 - pair.eta1) * math.sin(pair.eta0 + pair.eta1))
-        return StrategyResult(psucc=psucc, params={"x": 0.0})
-    x_star, psucc = maximize_scalar(
-        lambda xs: _two_shot_ent_values_batch(pair, variant, xs),
-        0.0,
-        1.0,
-        grid_points=TWO_SHOT_GRID_POINTS,
-    )
+    psucc = float(_two_shot_ent_values_batch(pair, variant, np.asarray(1.0)))
+    x_star = 1.0 if variant == "even" and psucc > 0.5 else 0.0
     return StrategyResult(psucc=psucc, params={"x": x_star})
 
 

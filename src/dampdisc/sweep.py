@@ -31,6 +31,7 @@ from .strategies import (
     backward_adaptive_optimal,
     damping_polar_curve,
     feedback_optimal,
+    feedback_params,
     feedback_psucc,
     fwd_bwd_difference,
     one_shot_optimal,
@@ -336,9 +337,8 @@ def _point_side_ent(pair: ChannelPair, fixed: dict) -> PointReport:
 
 
 def _point_feedback(pair: ChannelPair, fixed: dict) -> PointReport:
-    res = feedback_optimal(pair)
     if "x" in fixed or "alpha" in fixed:
-        params = {key: fixed.get(key, value) for key, value in res.params.items()}
+        params = feedback_params(pair, fixed.get("x"), fixed.get("alpha"))
         value = feedback_psucc(pair, **params)
         _check_close(
             "feedback construction vs batched evaluation",
@@ -347,6 +347,7 @@ def _point_feedback(pair: ChannelPair, fixed: dict) -> PointReport:
             1e-10,
         )
         return PointReport("feedback", value, "psucc", params)
+    res = feedback_optimal(pair)
     _check_close(
         "feedback optimum closed vs construction",
         res.psucc,

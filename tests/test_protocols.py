@@ -1,5 +1,6 @@
 """Protocol builders: exact table contraction vs analytic values, MC agreement."""
 
+import inspect
 import math
 
 import numpy as np
@@ -103,6 +104,25 @@ class TestBuildProtocol:
             build_protocol("polar-curve", ChannelPair(1.0, 0.5))
 
 
+EDGE_ETAS = (0.0, 1e-9, 0.6, 1.0, math.pi / 2 - 1e-9, math.pi / 2)
+
+
+class TestEdges:
+    @pytest.mark.parametrize("name", MC_STRATEGIES)
+    @pytest.mark.parametrize(
+        "params", [{}, {"x": 0.0}, {"x": 1.0}, {"x": 0.5, "y": 0.0, "alpha": 0.0, "variant": "even"}]
+    )
+    def test_every_tree_is_exact_on_edge_and_identical_channels(self, name, params):
+        for eta0 in EDGE_ETAS:
+            for eta1 in EDGE_ETAS:
+                proto = build_protocol(name, ChannelPair(eta0, eta1), params)
+                assert exact_psucc(proto) == pytest.approx(proto.analytic_psucc, abs=1e-12)
+
+    def test_feedback_branch_effects_take_no_priors(self):
+        # the posterior-weighted stages all go through _posterior_helstrom_rows
+        assert list(inspect.signature(protocols._pure_branch_effects).parameters) == ["state0", "state1"]
+
+
 class TestLazyDefaults:
     OPTIMIZERS = (
         "one_shot_optimal",
@@ -123,6 +143,12 @@ class TestLazyDefaults:
         params = {"x": 0.6, "y": 0.4, "alpha": 0.5, "variant": "even"}
         proto = build_protocol(name, ChannelPair(1.2, 0.4), params)
         assert exact_psucc(proto) == pytest.approx(proto.analytic_psucc, abs=1e-9)
+
+    def test_feedback_omitted_x_is_the_optimum_at_the_given_alpha(self):
+        pair = ChannelPair(1.2853626116987742, 0.18476586493855107)
+        proto = build_protocol("feedback", pair, {"alpha": 1.5201928563490097})
+        assert proto.analytic_psucc == pytest.approx(0.722642, abs=1e-6)
+        assert exact_psucc(proto) == pytest.approx(proto.analytic_psucc, abs=1e-12)
 
     @pytest.mark.parametrize(
         "name, key, optimal",

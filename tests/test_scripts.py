@@ -49,3 +49,26 @@ def test_mc_check_passes_for_every_simulable_strategy():
     proc = run_script("mc_check.py", "--trials", "4000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("mc_check.py", ["--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+        ("mc_check.py", ["--eta0", "2"], "eta0 must lie in [0, pi/2], got 2.0"),
+        ("mc_check.py", ["--trials", "0"], "trials must be an integer in [1, 2**63 - 1], got 0"),
+        ("mc_check.py", ["--bogus"], "unrecognized arguments: --bogus"),
+        ("regen_figure_data.py", ["--preset", "nope"], "argument --preset: invalid choice: 'nope'"),
+        ("regen_figure_data.py", ["--grid", "two"], "argument --grid: invalid int value: 'two'"),
+    ],
+)
+def test_malformed_input_is_one_usage_line_and_runs_nothing(tmp_path, script, args, message):
+    outdir = tmp_path / "out"
+    if script == "regen_figure_data.py":
+        args = [*args, "--outdir", str(outdir)]
+    proc = run_script(script, *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"usage error: {message}")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not outdir.exists()

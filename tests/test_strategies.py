@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dampdisc import strategies
 from dampdisc.channel import DampingChannel, InputState
 from dampdisc.discrimination import PriorPair, helstrom, helstrom_psucc, maximize_scalar, maximize_scalar_cells
 from dampdisc.linalg import hermitian_eig, trace_norm
@@ -26,6 +27,7 @@ from dampdisc.strategies import (
     feedback_conditional_states,
     feedback_optimal,
     feedback_optimal_numeric,
+    feedback_params,
     feedback_psucc,
     feedback_psucc_closed_form,
     feedback_terms,
@@ -284,6 +286,34 @@ class TestFeedback:
         assert res.psucc == pytest.approx(0.5 * (1.0 + math.sin(0.8)), abs=1e-15)
         assert res.params == {"x": 1.0, "alpha": math.pi / 4}
 
+    def test_balanced_basis_is_optimal_at_every_x(self):
+        # why a given x keeps alpha = pi/4 in feedback_params
+        rng = np.random.default_rng(27)
+        alphas = np.linspace(0.0, HALF_PI, 2001)
+        for eta0, eta1, x in zip(*rng.uniform(0.0, HALF_PI, (2, 200)), rng.uniform(0.0, 1.0, 200)):
+            pair = ChannelPair(eta0, eta1)
+            best = float(np.max(_feedback_values_batch(pair, x, alphas)))
+            assert best <= float(_feedback_values_batch(pair, x, math.pi / 4)) + 1e-12
+
+    def test_params_fill_an_omitted_x_with_its_optimum_at_the_given_alpha(self):
+        pair = ChannelPair(1.2853626116987742, 0.18476586493855107)
+        alpha = 1.5201928563490097
+        params = feedback_params(pair, None, alpha)
+        assert params["alpha"] == alpha
+        assert params["x"] == pytest.approx(0.698, abs=1e-3)
+        assert feedback_psucc(pair, **params) == pytest.approx(0.722642, abs=1e-6)
+        assert feedback_psucc(pair, **params) > feedback_psucc(pair, 1.0, alpha) + 0.1
+
+    def test_params_search_nothing_unless_only_alpha_is_given(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched although x was given or alpha omitted")
+
+        monkeypatch.setattr(strategies, "maximize_scalar", refuse)
+        pair = ChannelPair(1.2, 0.4)
+        assert feedback_params(pair, None, None) == feedback_optimal(pair).params
+        assert feedback_params(pair, 0.3, None) == {"x": 0.3, "alpha": math.pi / 4}
+        assert feedback_params(pair, 0.3, 0.2) == {"x": 0.3, "alpha": 0.2}
+
     def test_numeric_two_dim_max(self):
         for pair in (ChannelPair(1.2, 0.4), ChannelPair(HALF_PI, math.pi / 3)):
             x, alpha, val = feedback_optimal_numeric(pair)
@@ -375,6 +405,41 @@ class TestTwoShotEntangled:
         for pair in (ChannelPair(1.2, 0.4), ChannelPair(0.9, 0.5)):
             res = two_shot_entangled_optimal(pair, "even")
             assert res.params["x"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_closed_forms_match_the_construction_on_edges(self):
+        etas = (0.0, 1e-9, 0.6, 1.0, HALF_PI - 1e-9, HALF_PI)
+        for pair in (ChannelPair(a, b) for a in etas for b in etas):
+            for variant in ("odd", "even"):
+                for x in (0.0, 1e-12, 0.25, 0.5, 1.0 - 1e-9, 1.0):
+                    assert float(_two_shot_ent_values_batch(pair, variant, np.asarray(x))) == pytest.approx(
+                        two_shot_entangled_psucc(pair, variant, x), abs=1e-12
+                    )
+
+    def test_even_construction_is_nondecreasing_in_x(self):
+        # the closed form grows with x; the Kraus construction must agree
+        xs = np.linspace(0.0, 1.0, 101)
+        for pair in seeded_pairs(12, 25).channel_pairs():
+            vals = np.array([two_shot_entangled_psucc(pair, "even", x) for x in xs])
+            assert float(np.min(np.diff(vals))) >= -1e-12
+
+    def test_even_optimum_is_the_product_input(self):
+        # at x = 1 the even input is |11>, the product probe pair at x = 1
+        for pair in seeded_pairs(40, 26).channel_pairs():
+            res = two_shot_entangled_optimal(pair, "even")
+            assert res.psucc == pytest.approx(two_shot_product_psucc(pair, 1.0), abs=1e-12)
+            assert res.params["x"] == (1.0 if pair.eta0 > pair.eta1 else 0.0)
+        assert two_shot_entangled_optimal(ChannelPair(0.7, 0.7), "even").params["x"] == 0.0
+
+    def test_optimum_runs_no_search_and_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the entangled values and optimum are closed forms")
+
+        monkeypatch.setattr(strategies, "maximize_scalar", refuse)
+        monkeypatch.setattr(strategies, "maximize_scalar_cells", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for variant in ("odd", "even"):
+            assert two_shot_entangled_optimal(ChannelPair(1.2, 0.4), variant).psucc > 0.5
+            assert _two_shot_ent_values_batch(ChannelPair(1.2, 0.4), variant, np.linspace(0.0, 1.0, 5)).shape == (5,)
 
     def test_neither_variant_beats_product_optimum(self):
         for pair in SAMPLE_PAIRS:

@@ -193,6 +193,19 @@ class TestRunPoint:
         assert report.params["x"] == pytest.approx(1.0)
         assert report.params["alpha"] == pytest.approx(math.pi / 4)
 
+    def test_feedback_omitted_x_is_the_optimum_at_the_given_alpha(self):
+        # x = 1, the joint optimum's, gives only 0.601002 at this alpha
+        cfg = SweepConfig(
+            strategy="feedback",
+            eta0=1.2853626116987742,
+            eta1=0.18476586493855107,
+            fixed={"alpha": 1.5201928563490097},
+        )
+        report = run_point(cfg)
+        assert report.value == pytest.approx(0.722642, abs=1e-6)
+        assert report.params["x"] == pytest.approx(0.698, abs=1e-3)
+        assert report.params["alpha"] == 1.5201928563490097
+
     def test_identical_channels_are_a_coin_flip(self):
         report = run_point(SweepConfig(strategy="one-shot", eta0=0.3, eta1=0.3))
         assert report.value == pytest.approx(0.5, abs=1e-12)
